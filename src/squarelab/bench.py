@@ -13,20 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .grid import BinaryMatrix, EdgeKind, GenSpec, generate_edge_case, generate_matrix
+from .grid import EDGE_SIZES, BinaryMatrix, EdgeKind, GenSpec, generate_edge_case, generate_matrix
 from .squares import SquareResult, dp_full, dp_rows, freq_square
 
 BASELINES: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
     "dp_full": dp_full,
     "dp_rows": dp_rows,
-}
-
-# edge-case matrix sizes, matching the verification suite
-EDGE_SIZES: dict[EdgeKind, int] = {
-    EdgeKind.ALL_ZEROS: 100,
-    EdgeKind.ALL_ONES: 100,
-    EdgeKind.SINGLE_ROW: 1000,
-    EdgeKind.SINGLE_COL: 1000,
 }
 
 EDGE_LABELS: dict[EdgeKind, str] = {
@@ -160,13 +152,7 @@ def run_grid(config: BenchConfig) -> list[BenchRecord]:
 def run_edge_cases(config: BenchConfig) -> list[BenchRecord]:
     """Benchmark the four constant edge cases; the empty matrix is skipped."""
     records = []
-    for kind in (
-        EdgeKind.ALL_ZEROS,
-        EdgeKind.ALL_ONES,
-        EdgeKind.SINGLE_ROW,
-        EdgeKind.SINGLE_COL,
-    ):
-        n = EDGE_SIZES[kind]
+    for kind, n in EDGE_SIZES.items():
         matrix = generate_edge_case(kind, n)
         density = 0.0 if kind is EdgeKind.ALL_ZEROS else 1.0
         records.append(_bench_matrix(matrix, config, n, density, case=kind.value))

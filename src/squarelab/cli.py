@@ -182,14 +182,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not report.clean:
             findings = True
     if findings:
-        csv_parts = [render_mismatch_csv(report) for _, report in sections
-                     if report.mismatches]
-        if csv_parts:
-            header, *_ = csv_parts[0].splitlines()
-            rows = [line for part in csv_parts
-                    for line in part.splitlines()[1:]]
+        reports = [report for _, report in sections]
+        if any(report.mismatches for report in reports):
             Path(args.mismatch_out).write_text(
-                "\n".join([header, *rows]) + "\n", encoding="ascii")
+                render_mismatch_csv(*reports), encoding="ascii")
             print(f"mismatches written to {args.mismatch_out}", file=sys.stderr)
         return 1
     return 0

@@ -2,9 +2,11 @@
 
 A rolling depth-frequency matrix counts consecutive ones along the depth
 axis per (row, col).  A k x k window of values >= k at depth d certifies a
-cube of side k ending there, so each probe reduces to a 2D maximal-square
-question on a thresholded matrix.  The search over k is a binary search,
-justified by cube-existence being monotone in k.
+cube of side k ending there, so each check reduces to a 2D maximal-square
+question on a thresholded matrix.  One sweep over the layers finds the
+largest side: a cube of side s ending at depth d contains one of side s-1
+ending at depth d-1, so the best side grows by at most one per layer, the
+same monotone argument the frequency solver uses for its thresholds.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ class DepthFreqMatrix:
 
 @dataclass(frozen=True, slots=True)
 class CubeResult:
-    """Maximal cube side plus the count of volume-cell reads performed."""
+    """Maximal cube side plus the count of volume-cell reads performed.
+
+    For max_cube, volume_visited == depth * rows * cols: one read per voxel.
+    """
 
     side: int
     volume_visited: int
@@ -89,39 +94,24 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
     return dp_full(binarized).side >= k
 
 
-def _probe(v: BinaryVolume, k: int) -> tuple[bool, int]:
-    """Sweep all depths with a rolling frequency matrix, checking for side k."""
+def max_cube(v: BinaryVolume) -> CubeResult:
+    """Largest all-ones cube side in one sweep over the layers.
+
+    A cube of side s ending at depth d contains a cube of side s-1 ending at
+    depth d-1, so by induction best is at least s-1 once layer d-1 is
+    applied.  The best side therefore grows by at most one per layer, and
+    after applying layer d the only side worth checking is best + 1.  Each
+    voxel is read exactly once: volume_visited == depth * rows * cols.
+    """
     f = DepthFreqMatrix(v.rows, v.cols)
     layer_cells = v.rows * v.cols
-    reads = 0
-    for d in range(v.depth):
-        depth_freq_update(f, v.layer(d))
-        reads += layer_cells
-        if d >= k - 1 and exists_cube_at_depth(f, k):
-            return True, reads
-    return False, reads
-
-
-def max_cube(v: BinaryVolume) -> CubeResult:
-    """Largest all-ones cube side via binary search over feasible sides.
-
-    A cube of side k contains cubes of every smaller side, so feasibility is
-    monotone and binary search over [1, min(depth, rows, cols)] is sound.
-    Each probe is a fresh depth sweep in O(depth * rows * cols).
-    """
-    hi = min(v.depth, v.rows, v.cols)
-    lo = 1
     best = 0
     visited = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        found, reads = _probe(v, mid)
-        visited += reads
-        if found:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
+    for d in range(v.depth):
+        depth_freq_update(f, v.layer(d))
+        visited += layer_cells
+        if exists_cube_at_depth(f, best + 1):
+            best += 1
     return CubeResult(best, visited)
 
 

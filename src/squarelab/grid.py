@@ -145,6 +145,15 @@ class EdgeKind(str, Enum):
     SINGLE_COL = "single_col"
 
 
+# edge-case matrix sizes, shared by the verification suite and the benchmark
+EDGE_SIZES: dict[EdgeKind, int] = {
+    EdgeKind.ALL_ZEROS: 100,
+    EdgeKind.ALL_ONES: 100,
+    EdgeKind.SINGLE_ROW: 1000,
+    EdgeKind.SINGLE_COL: 1000,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class GenSpec:
     """Deterministic recipe for a random grid: identical spec, identical grid.

@@ -8,6 +8,7 @@ comparison point for the square solvers (every square is a rectangle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .grid import BinaryMatrix
 
@@ -23,16 +24,20 @@ class RectResult:
     width: int
 
 
+def _row_heights(m: BinaryMatrix) -> Iterator[Histogram]:
+    """Yield each row's histogram: heights[j] is the run of ones in column j
+    ending at that row.  One list is updated in place and yielded every time,
+    so a caller that keeps a row must copy it."""
+    heights = [0] * m.cols
+    for i in range(m.rows):
+        for j, cell in enumerate(m.row(i)):
+            heights[j] = heights[j] + 1 if cell else 0
+        yield heights
+
+
 def build_histograms(m: BinaryMatrix) -> list[Histogram]:
     """One histogram per row: heights[j] is the run of ones in column j ending there."""
-    heights = [0] * m.cols
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        for j, cell in enumerate(row):
-            heights[j] = heights[j] + 1 if cell else 0
-        out.append(heights.copy())
-    return out
+    return [heights.copy() for heights in _row_heights(m)]
 
 
 def largest_rect_in_histogram(heights: Histogram) -> RectResult:
@@ -59,11 +64,7 @@ def largest_rect_in_histogram(heights: Histogram) -> RectResult:
 def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     """Largest all-ones rectangle: best histogram rectangle over all rows."""
     best = RectResult(0, 0, 0)
-    heights = [0] * m.cols
-    for i in range(m.rows):
-        row = m.row(i)
-        for j, cell in enumerate(row):
-            heights[j] = heights[j] + 1 if cell else 0
+    for heights in _row_heights(m):
         candidate = largest_rect_in_histogram(heights)
         if candidate.area > best.area:
             best = candidate

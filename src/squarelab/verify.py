@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .grid import BinaryMatrix, EMPTY_MATRIX, EdgeKind, GenSpec, generate_edge_case, generate_matrix
+from .grid import EDGE_SIZES, EMPTY_MATRIX, BinaryMatrix, EdgeKind, GenSpec, generate_edge_case, generate_matrix
 from .squares import (
     SquareResult,
     brute_force_square,
@@ -216,18 +216,17 @@ def random_campaign(
 
 
 def edge_case_suite() -> VerifyReport:
-    """Edge-case values: constant matrices and the empty matrix.
+    """Edge-case values: the EDGE_SIZES constant matrices and the empty matrix.
 
     Compares freq_square against dp_full on each, and both against the
     analytically known area.
     """
-    cases: list[tuple[str, BinaryMatrix, int]] = [
-        ("all_zeros_100", generate_edge_case(EdgeKind.ALL_ZEROS, 100), 0),
-        ("all_ones_100", generate_edge_case(EdgeKind.ALL_ONES, 100), 10_000),
-        ("single_row_1000", generate_edge_case(EdgeKind.SINGLE_ROW, 1000), 1),
-        ("single_col_1000", generate_edge_case(EdgeKind.SINGLE_COL, 1000), 1),
-        ("empty", EMPTY_MATRIX, 0),
-    ]
+    cases: list[tuple[str, BinaryMatrix, int]] = []
+    for kind, n in EDGE_SIZES.items():
+        # zeros hold no square, n x n ones hold one of side n, a single row or column side 1
+        area = 0 if kind is EdgeKind.ALL_ZEROS else n * n if kind is EdgeKind.ALL_ONES else 1
+        cases.append((f"{kind.value}_{n}", generate_edge_case(kind, n), area))
+    cases.append(("empty", EMPTY_MATRIX, 0))
     report = VerifyReport()
     start = time.perf_counter()
     for case_id, matrix, expected_area in cases:
@@ -269,13 +268,18 @@ def render_report(report: VerifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_mismatch_csv(report: VerifyReport) -> str:
-    """One CSV row per mismatch; cells are the row-major 0/1 string."""
-    solver_names = [n for n, _ in (report.mismatches[0].sides if report.mismatches else DEFAULT_SOLVERS)]
+def render_mismatch_csv(*reports: VerifyReport) -> str:
+    """One CSV row per mismatch across all reports; cells are the row-major
+    0/1 string.  Side columns follow the order in which solver names first
+    appear, and a field is empty where that solver did not run on the case."""
+    mismatches = [mm for report in reports for mm in report.mismatches]
+    seen = (n for mm in mismatches for n, _ in mm.sides)
+    solver_names = list(dict.fromkeys(seen)) or [n for n, _ in DEFAULT_SOLVERS]
     header = "case,rows,cols,cells," + ",".join(f"{n}_side" for n in solver_names)
     lines = [header]
-    for mm in report.mismatches:
+    for mm in mismatches:
         cells = "".join(str(c) for c in mm.matrix.cells)
-        sides = ",".join(str(s) for _, s in mm.sides)
+        by_name = dict(mm.sides)
+        sides = ",".join(str(by_name.get(n, "")) for n in solver_names)
         lines.append(f"{mm.case_id},{mm.matrix.rows},{mm.matrix.cols},{cells},{sides}")
     return "\n".join(lines) + "\n"

@@ -133,7 +133,9 @@ def test_seeded_volumes_agree():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         v = generate_volume(GenSpec(r, c, rng.random(), rng.getrandbits(32), depth=d))
-        assert max_cube(v).side == brute_force_cube(v).side
+        result = max_cube(v)
+        assert result.side == brute_force_cube(v).side
+        assert result.volume_visited == v.depth * v.rows * v.cols
 
 
 def test_exists_cube_antitone_in_k():

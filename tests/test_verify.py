@@ -6,6 +6,8 @@ from squarelab.verify import (
     ENUMERATION_CAP,
     DEFAULT_SOLVERS,
     EnumerationCapExceededError,
+    Mismatch,
+    VerifyReport,
     edge_case_suite,
     enumeration_count,
     exhaustive_sweep,
@@ -133,6 +135,19 @@ def test_render_mismatch_csv():
     header = csv_text.splitlines()[0]
     assert header == "case,rows,cols,cells,freq_side,dp_full_side,dp_rows_side,brute_side,broken_side"
     assert len(csv_text.splitlines()) == len(report.mismatches) + 1
+
+
+def test_render_mismatch_csv_mixes_solver_sets():
+    # an edge-suite finding compares two solvers, a campaign finding four
+    m = BinaryMatrix.from_rows([[1]])
+    edges = VerifyReport(mismatches=[
+        Mismatch("all_ones_1", m, (("freq", 1), ("dp_full", 0)))])
+    campaign = VerifyReport(mismatches=[Mismatch(
+        "random#0", m, (("freq", 1), ("dp_full", 1), ("dp_rows", 1), ("brute", 0)))])
+    lines = render_mismatch_csv(edges, campaign).splitlines()
+    assert lines[0] == "case,rows,cols,cells,freq_side,dp_full_side,dp_rows_side,brute_side"
+    assert lines[1:] == ["all_ones_1,1,1,1,1,0,,", "random#0,1,1,1,1,1,1,0"]
+    assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
 
 
 def test_reports_track_visit_counts():
