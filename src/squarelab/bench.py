@@ -3,7 +3,8 @@
 Each grid cell generates one seeded matrix, reused by both algorithms so the
 comparison isolates the algorithm rather than the instance.  Timing uses the
 monotonic wall clock, runs strictly sequentially, excludes generation, and
-reports trimmed means.  Tables and plot data go out as CSV or markdown.
+reports trimmed means.  Tables and plot series go out as CSV or markdown,
+rendered by one function from the column specs in TABLES.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class EmptyAfterTrimError(ValueError):
 
 
 class NoRecordsError(ValueError):
-    """Plot emission needs at least one record."""
+    """A plot series selected no records."""
 
 
 class PlotTarget(str, Enum):
@@ -159,92 +160,77 @@ def run_edge_cases(config: BenchConfig) -> list[BenchRecord]:
     return records
 
 
-def _fmt_density(d: float) -> str:
-    return f"{d:g}"
+# one column of an output: its header and the text of one record's cell
+Column = tuple[str, Callable[[BenchRecord], str]]
+
+_SIZE = ("size", lambda r: f"{r.size}")
+_DENSITY = ("density", lambda r: f"{r.density:g}")
+_STD_MS = ("std_ms", lambda r: f"{r.baseline_trimmed_mean:.6f}")
+_USER_MS = ("user_ms", lambda r: f"{r.candidate_trimmed_mean:.6f}")
+_SPEEDUP = ("speedup", lambda r: f"{r.speedup:.4f}")
+_SAME = ("same_result", lambda r: str(r.same_result).lower())
+_CASE = ("case", lambda r: f"{r.case}")
+
+_MD_STATS = (
+    ("Std Time (ms)", lambda r: f"{r.baseline_trimmed_mean:.3f}"),
+    ("User Time (ms)", lambda r: f"{r.candidate_trimmed_mean:.3f}"),
+    ("Speedup", lambda r: f"{r.speedup:.2f}x"),
+    ("Same Result?", lambda r: "Yes" if r.same_result else "No"),
+)
+
+_EDGE_MD = (
+    ("Case", lambda r: EDGE_LABELS[EdgeKind(r.case)] if r.case else ""),
+    *_MD_STATS,
+)
+
+# the empty matrix is not benchmarked; the edge markdown table says so
+_SKIPPED_EMPTY_ROW = "| Empty | Skipped (empty matrix) | - | - | - |"
+
+# each output's columns: (grid|edge, csv|md) tables and the plot series
+TABLES: dict[tuple[str, str] | PlotTarget, tuple[Column, ...]] = {
+    ("grid", "csv"): (_SIZE, _DENSITY, _STD_MS, _USER_MS, _SPEEDUP, _SAME),
+    ("edge", "csv"): (_CASE, _STD_MS, _USER_MS, _SPEEDUP, _SAME),
+    ("grid", "md"): (
+        ("Size", lambda r: f"{r.size}x{r.size}"),
+        ("Density", lambda r: f"{r.density:.2f}"),
+        *_MD_STATS,
+    ),
+    ("edge", "md"): _EDGE_MD,
+    PlotTarget.SPEEDUP_VS_DENSITY: (_SIZE, _DENSITY, _SPEEDUP),
+    PlotTarget.TIME_VS_DENSITY_AT_SIZE: (_DENSITY, _STD_MS, _USER_MS),
+    PlotTarget.EDGE_SPEEDUPS: (_CASE, _SPEEDUP),
+}
 
 
-def render_grid_csv(records: list[BenchRecord]) -> str:
-    lines = ["size,density,std_ms,user_ms,speedup,same_result"]
-    for r in records:
-        lines.append(
-            f"{r.size},{_fmt_density(r.density)},"
-            f"{r.baseline_trimmed_mean:.6f},{r.candidate_trimmed_mean:.6f},"
-            f"{r.speedup:.4f},{str(r.same_result).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_edge_csv(records: list[BenchRecord]) -> str:
-    lines = ["case,std_ms,user_ms,speedup,same_result"]
-    for r in records:
-        lines.append(
-            f"{r.case},{r.baseline_trimmed_mean:.6f},"
-            f"{r.candidate_trimmed_mean:.6f},{r.speedup:.4f},"
-            f"{str(r.same_result).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_grid_md(records: list[BenchRecord]) -> str:
-    lines = [
-        "| Size | Density | Std Time (ms) | User Time (ms) | Speedup | Same Result? |",
-        "|------|---------|---------------|----------------|---------|--------------|",
-    ]
-    for r in records:
-        lines.append(
-            f"| {r.size}x{r.size} | {r.density:.2f} "
-            f"| {r.baseline_trimmed_mean:.3f} | {r.candidate_trimmed_mean:.3f} "
-            f"| {r.speedup:.2f}x | {'Yes' if r.same_result else 'No'} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_edge_md(records: list[BenchRecord]) -> str:
-    lines = [
-        "| Case | Std Time (ms) | User Time (ms) | Speedup | Same Result? |",
-        "|------|---------------|----------------|---------|--------------|",
-        "| Empty | Skipped (empty matrix) | - | - | - |",
-    ]
-    for r in records:
-        label = EDGE_LABELS.get(EdgeKind(r.case), r.case) if r.case else ""
-        lines.append(
-            f"| {label} | {r.baseline_trimmed_mean:.3f} "
-            f"| {r.candidate_trimmed_mean:.3f} | {r.speedup:.2f}x "
-            f"| {'Yes' if r.same_result else 'No'} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def emit_plot_data(
-    records: list[BenchRecord],
-    target: PlotTarget,
-    size: int | None = None,
-) -> str:
-    """Tidy CSV series for plotting: one header row plus one row per record.
-
-    TIME_VS_DENSITY_AT_SIZE filters to the requested size (default 500).
-    """
+def plot_selection(
+    records: list[BenchRecord], target: PlotTarget, size: int = 500
+) -> list[BenchRecord]:
+    """The records a plot series shows: TIME_VS_DENSITY_AT_SIZE keeps those
+    at `size`, the other targets keep all.  Raises NoRecordsError when none
+    are left."""
+    at_size = target is PlotTarget.TIME_VS_DENSITY_AT_SIZE
+    if at_size:
+        records = [r for r in records if r.size == size]
     if not records:
-        raise NoRecordsError("no records to plot")
-    if target is PlotTarget.SPEEDUP_VS_DENSITY:
-        lines = ["size,density,speedup"]
-        for r in records:
-            lines.append(f"{r.size},{_fmt_density(r.density)},{r.speedup:.4f}")
-    elif target is PlotTarget.TIME_VS_DENSITY_AT_SIZE:
-        wanted = 500 if size is None else size
-        subset = [r for r in records if r.size == wanted]
-        if not subset:
-            raise NoRecordsError(f"no records at size {wanted}")
-        lines = ["density,std_ms,user_ms"]
-        for r in subset:
-            lines.append(
-                f"{_fmt_density(r.density)},"
-                f"{r.baseline_trimmed_mean:.6f},{r.candidate_trimmed_mean:.6f}"
-            )
-    elif target is PlotTarget.EDGE_SPEEDUPS:
-        lines = ["case,speedup"]
-        for r in records:
-            lines.append(f"{r.case},{r.speedup:.4f}")
+        raise NoRecordsError(f"no records at size {size}" if at_size else "no records to plot")
+    return records
+
+
+def render_table(
+    records: list[BenchRecord], columns: tuple[Column, ...], markdown: bool
+) -> str:
+    """CSV, or a markdown table, with a header and one row per record.
+
+    The markdown rule line gives each header len(header) + 2 dashes.
+    """
+    headers = [h for h, _ in columns]
+    rows = [[fmt(r) for _, fmt in columns] for r in records]
+    if markdown:
+        lines = ["| " + " | ".join(headers) + " |",
+                 "|" + "|".join("-" * (len(h) + 2) for h in headers) + "|"]
+        if columns is _EDGE_MD:
+            lines.append(_SKIPPED_EMPTY_ROW)
+        lines += ["| " + " | ".join(cells) + " |" for cells in rows]
     else:
-        raise ValueError(f"unknown plot target {target!r}")
+        lines = [",".join(cells) for cells in (headers, *rows)]
     return "\n".join(lines) + "\n"

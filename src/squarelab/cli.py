@@ -13,13 +13,11 @@ from pathlib import Path
 from typing import Callable
 
 from .bench import (
+    TABLES,
     BenchConfig,
     PlotTarget,
-    emit_plot_data,
-    render_edge_csv,
-    render_edge_md,
-    render_grid_csv,
-    render_grid_md,
+    plot_selection,
+    render_table,
     run_edge_cases,
     run_grid,
 )
@@ -201,19 +199,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         baseline=BASELINE_FLAGS[args.baseline],
         warmup_runs=args.warmup,
     )
-    if args.plot == PlotTarget.EDGE_SPEEDUPS.value or args.edge_cases:
-        records = run_edge_cases(config)
+    target = PlotTarget(args.plot) if args.plot else None
+    edge = args.edge_cases or target is PlotTarget.EDGE_SPEEDUPS
+    records = run_edge_cases(config) if edge else run_grid(config)
+    if target is None:
+        key = ("edge" if edge else "grid", args.format)
     else:
-        records = run_grid(config)
-    if args.plot is not None:
-        sys.stdout.write(
-            emit_plot_data(records, PlotTarget(args.plot), size=args.plot_size))
-    elif args.edge_cases:
-        renderer = render_edge_csv if args.format == "csv" else render_edge_md
-        sys.stdout.write(renderer(records))
-    else:
-        renderer = render_grid_csv if args.format == "csv" else render_grid_md
-        sys.stdout.write(renderer(records))
+        key, records = target, plot_selection(records, target, args.plot_size)
+    markdown = target is None and args.format == "md"
+    sys.stdout.write(render_table(records, TABLES[key], markdown))
     return 0
 
 

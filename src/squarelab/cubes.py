@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grid import BinaryMatrix, BinaryVolume
-from .squares import OracleCapExceededError, dp_full
+from .squares import OracleCapExceededError, freq_square
 
 CUBE_ORACLE_CELL_CAP = 4096
 
@@ -82,7 +82,8 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 
     Thresholding f at k turns the question into maximal-square detection:
     the window exists exactly when the binarized matrix holds a square of
-    side >= k.
+    side >= k, which the frequency solver answers in one pass with O(cols)
+    auxiliary space.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -91,7 +92,7 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
     binarized = BinaryMatrix(
         f.rows, f.cols, bytes(1 if v >= k else 0 for v in f.values)
     )
-    return dp_full(binarized).side >= k
+    return freq_square(binarized).side >= k
 
 
 def max_cube(v: BinaryVolume) -> CubeResult:

@@ -37,6 +37,12 @@ _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _check_cells(cells: bytes) -> None:
+    # deleting every 0 and 1 byte leaves nothing exactly when all cells are 0/1
+    if cells.translate(None, b"\x00\x01"):
+        raise ValueError("cells must contain only 0 or 1")
+
+
 @dataclass(frozen=True, slots=True)
 class BinaryMatrix:
     """Dense row-major grid of 0/1 cells.
@@ -58,8 +64,7 @@ class BinaryMatrix:
             raise ValueError(
                 f"cell count {len(self.cells)} != {self.rows}x{self.cols}"
             )
-        if not set(self.cells) <= {0, 1}:
-            raise ValueError("cells must contain only 0 or 1")
+        _check_cells(self.cells)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "BinaryMatrix":
@@ -111,8 +116,7 @@ class BinaryVolume:
                 f"cell count {len(self.cells)} != "
                 f"{self.depth}x{self.rows}x{self.cols}"
             )
-        if not set(self.cells) <= {0, 1}:
-            raise ValueError("cells must contain only 0 or 1")
+        _check_cells(self.cells)
 
     @classmethod
     def from_layers(cls, layers: list[BinaryMatrix]) -> "BinaryVolume":
@@ -200,13 +204,20 @@ def _split_lines(text: str) -> list[str]:
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse '0'/'1' text, one line per row.  Empty input is the 0x0 matrix."""
+    """Parse '0'/'1' text, one line per row.  Empty input is the 0x0 matrix.
+
+    A blank line is an error: only volumes separate layers with blank lines.
+    """
     lines = _split_lines(text)
     if not lines:
         return EMPTY_MATRIX
     cols = len(lines[0])
     chunks = []
     for i, line in enumerate(lines):
+        if not line:
+            raise MatrixParseError(
+                f"line {i + 1} is blank; a matrix has no blank lines", i + 1
+            )
         if len(line) != cols:
             raise RaggedRowsError(
                 f"line {i + 1} has {len(line)} cells, expected {cols}", i + 1

@@ -79,7 +79,9 @@ def _check_case(
     matrix: BinaryMatrix,
     solvers: tuple[tuple[str, Solver], ...],
     report: VerifyReport,
-) -> None:
+) -> list[tuple[str, SquareResult]]:
+    """Run every solver on one case, record any disagreement and broken
+    visit count in `report`, and return each solver's result."""
     results = [(name, fn(matrix)) for name, fn in solvers]
     sides = tuple((name, r.side) for name, r in results)
     if len({s for _, s in sides}) > 1:
@@ -96,6 +98,7 @@ def _check_case(
                 )
             )
     report.cases_run += 1
+    return results
 
 
 def _check_freq_state(case_id: str, matrix: BinaryMatrix, report: VerifyReport) -> None:
@@ -218,9 +221,11 @@ def random_campaign(
 def edge_case_suite() -> VerifyReport:
     """Edge-case values: the EDGE_SIZES constant matrices and the empty matrix.
 
-    Compares freq_square against dp_full on each, and both against the
-    analytically known area.
+    Compares freq_square against dp_full on each, with the single-pass visit
+    count, and both against the analytically known area.
     """
+    # looked up at call time, so a stand-in patched over either name is used
+    solvers = (("freq", freq_square), ("dp_full", dp_full))
     cases: list[tuple[str, BinaryMatrix, int]] = []
     for kind, n in EDGE_SIZES.items():
         # zeros hold no square, n x n ones hold one of side n, a single row or column side 1
@@ -230,13 +235,7 @@ def edge_case_suite() -> VerifyReport:
     report = VerifyReport()
     start = time.perf_counter()
     for case_id, matrix, expected_area in cases:
-        a = freq_square(matrix)
-        b = dp_full(matrix)
-        if a.side != b.side:
-            report.mismatches.append(
-                Mismatch(case_id, matrix, (("freq", a.side), ("dp_full", b.side)))
-            )
-        for name, result in (("freq", a), ("dp_full", b)):
+        for name, result in _check_case(case_id, matrix, solvers, report):
             if result.area != expected_area:
                 report.invariant_failures.append(
                     InvariantFailure(
@@ -245,7 +244,6 @@ def edge_case_suite() -> VerifyReport:
                         f"{name} area {result.area}, expected {expected_area}",
                     )
                 )
-        report.cases_run += 1
     report.elapsed = time.perf_counter() - start
     return report
 

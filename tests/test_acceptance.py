@@ -259,6 +259,7 @@ def test_criterion_8_histogram_baseline(capsys):
                         best = max(best, low * (right - left + 1))
                 got = largest_rect_in_histogram(list(heights))
                 assert got.area == best, f"heights={heights}"
+                assert got.area == got.height * got.width
         rng = random.Random(8)
         for _ in range(1000):
             m = generate_matrix(GenSpec(rng.randint(1, 24), rng.randint(1, 24),

@@ -4,12 +4,10 @@ from squarelab.bench import (
     BenchConfig,
     EmptyAfterTrimError,
     NoRecordsError,
+    TABLES,
     PlotTarget,
-    emit_plot_data,
-    render_edge_csv,
-    render_edge_md,
-    render_grid_csv,
-    render_grid_md,
+    plot_selection,
+    render_table,
     run_edge_cases,
     run_grid,
     trimmed_mean,
@@ -17,6 +15,11 @@ from squarelab.bench import (
 
 FAST = BenchConfig(sizes=(8, 16), densities=(0.2, 0.8), runs=4,
                    trim_fraction=0.1, seed=5, warmup_runs=1)
+
+
+def _plot(records, target, size=500):
+    return render_table(plot_selection(records, target, size), TABLES[target],
+                        markdown=False)
 
 
 def test_trimmed_mean_plain_mean_when_no_trim():
@@ -115,7 +118,7 @@ def test_run_edge_cases_labels():
 
 def test_grid_csv_schema():
     records = run_grid(FAST)
-    text = render_grid_csv(records)
+    text = render_table(records, TABLES["grid", "csv"], markdown=False)
     lines = text.splitlines()
     assert lines[0] == "size,density,std_ms,user_ms,speedup,same_result"
     assert len(lines) == 5
@@ -125,14 +128,14 @@ def test_grid_csv_schema():
 
 def test_edge_csv_schema():
     records = run_edge_cases(BenchConfig(runs=2, warmup_runs=0))
-    lines = render_edge_csv(records).splitlines()
+    lines = render_table(records, TABLES["edge", "csv"], markdown=False).splitlines()
     assert lines[0] == "case,std_ms,user_ms,speedup,same_result"
     assert len(lines) == 5
 
 
 def test_grid_markdown_table():
     records = run_grid(FAST)
-    text = render_grid_md(records)
+    text = render_table(records, TABLES["grid", "md"], markdown=True)
     lines = text.splitlines()
     assert lines[0].startswith("| Size | Density |")
     assert len(lines) == 2 + 4
@@ -142,7 +145,7 @@ def test_grid_markdown_table():
 
 def test_edge_markdown_mentions_skipped_empty():
     records = run_edge_cases(BenchConfig(runs=2, warmup_runs=0))
-    text = render_edge_md(records)
+    text = render_table(records, TABLES["edge", "md"], markdown=True)
     assert "Skipped (empty matrix)" in text
     assert "All 0s" in text and "All 1s" in text
     assert "Single Row" in text and "Single Col" in text
@@ -150,7 +153,7 @@ def test_edge_markdown_mentions_skipped_empty():
 
 def test_plot_speedup_vs_density():
     records = run_grid(FAST)
-    text = emit_plot_data(records, PlotTarget.SPEEDUP_VS_DENSITY)
+    text = _plot(records, PlotTarget.SPEEDUP_VS_DENSITY)
     lines = text.splitlines()
     assert lines[0] == "size,density,speedup"
     assert len(lines) == 5
@@ -158,7 +161,7 @@ def test_plot_speedup_vs_density():
 
 def test_plot_time_at_size_filters():
     records = run_grid(FAST)
-    text = emit_plot_data(records, PlotTarget.TIME_VS_DENSITY_AT_SIZE, size=16)
+    text = _plot(records, PlotTarget.TIME_VS_DENSITY_AT_SIZE, size=16)
     lines = text.splitlines()
     assert lines[0] == "density,std_ms,user_ms"
     assert len(lines) == 3
@@ -167,19 +170,19 @@ def test_plot_time_at_size_filters():
 def test_plot_time_at_missing_size():
     records = run_grid(FAST)
     with pytest.raises(NoRecordsError):
-        emit_plot_data(records, PlotTarget.TIME_VS_DENSITY_AT_SIZE, size=999)
+        plot_selection(records, PlotTarget.TIME_VS_DENSITY_AT_SIZE, size=999)
 
 
 def test_plot_edge_speedups():
     records = run_edge_cases(BenchConfig(runs=2, warmup_runs=0))
-    lines = emit_plot_data(records, PlotTarget.EDGE_SPEEDUPS).splitlines()
+    lines = _plot(records, PlotTarget.EDGE_SPEEDUPS).splitlines()
     assert lines[0] == "case,speedup"
     assert len(lines) == 5
 
 
 def test_plot_requires_records():
     with pytest.raises(NoRecordsError):
-        emit_plot_data([], PlotTarget.SPEEDUP_VS_DENSITY)
+        plot_selection([], PlotTarget.SPEEDUP_VS_DENSITY)
 
 
 def test_baseline_choice_changes_timings_not_results():

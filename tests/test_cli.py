@@ -51,6 +51,18 @@ def test_solve_parse_error_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("solve", "10\n01\n\n"),
+    ("rect", "10\n01\n\n01\n11\n"),  # a volume is not a matrix
+], ids=["solve", "rect-on-volume"])
+def test_blank_line_in_matrix_is_named(capsys, monkeypatch, command, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command)
+    assert code == 2
+    assert out == ""
+    assert "line 3 is blank" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, "solve", "/no/such/file")
     assert code == 2

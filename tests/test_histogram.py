@@ -1,4 +1,3 @@
-import itertools
 import random
 
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
@@ -8,18 +7,6 @@ from squarelab.histogram import (
     maximal_rectangle,
 )
 from squarelab.squares import freq_square, freq_square_traced
-
-
-def brute_rect_in_histogram(heights):
-    """Quadratic reference: best over all (l, r) windows."""
-    best = 0
-    n = len(heights)
-    for left in range(n):
-        low = heights[left]
-        for right in range(left, n):
-            low = min(low, heights[right])
-            best = max(best, low * (right - left + 1))
-    return best
 
 
 def brute_max_rectangle(m):
@@ -83,16 +70,6 @@ def test_largest_rect_empty_histogram():
 def test_largest_rect_area_consistency():
     r = largest_rect_in_histogram([3, 1, 4, 1, 5])
     assert r.area == r.height * r.width
-
-
-def test_largest_rect_exhaustive_small():
-    # every histogram of length <= 8 with heights <= 4
-    for length in range(1, 9):
-        for heights in itertools.product(range(5), repeat=length):
-            got = largest_rect_in_histogram(list(heights))
-            want = brute_rect_in_histogram(heights)
-            assert got.area == want, f"heights={heights}"
-            assert got.area == got.height * got.width
 
 
 def test_maximal_rectangle_examples():

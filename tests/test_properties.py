@@ -1,0 +1,105 @@
+"""Property-based tests: text round trips, monotonicity in the ones, and the
+shape of every rendered benchmark table."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from squarelab.bench import TABLES, BenchRecord, render_table
+from squarelab.grid import (
+    BinaryMatrix,
+    BinaryVolume,
+    EdgeKind,
+    parse_matrix,
+    parse_volume,
+    serialize_matrix,
+    serialize_volume,
+)
+from squarelab.histogram import maximal_rectangle
+from squarelab.squares import freq_square
+
+# the host's speed varies, so no per-example deadline
+PROPERTY = settings(deadline=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw, max_dim=10):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    cells = draw(st.binary(min_size=rows * cols, max_size=rows * cols)
+                 .map(lambda raw: bytes(b & 1 for b in raw)))
+    return BinaryMatrix(rows, cols, cells)
+
+
+@st.composite
+def volumes(draw, max_dim=5):
+    depth = draw(st.integers(1, max_dim))
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    n = depth * rows * cols
+    cells = draw(st.binary(min_size=n, max_size=n)
+                 .map(lambda raw: bytes(b & 1 for b in raw)))
+    return BinaryVolume(depth, rows, cols, cells)
+
+
+@PROPERTY
+@given(matrices())
+def test_matrix_text_round_trip(m):
+    text = serialize_matrix(m)
+    assert parse_matrix(text) == m
+    assert serialize_matrix(parse_matrix(text)) == text
+
+
+@PROPERTY
+@given(volumes())
+def test_volume_text_round_trip(v):
+    text = serialize_volume(v)
+    assert parse_volume(text) == v
+    assert serialize_volume(parse_volume(text)) == text
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_setting_a_zero_never_shrinks_the_answer(m, data):
+    zeros = [i for i, cell in enumerate(m.cells) if not cell]
+    if not zeros:
+        return
+    i = data.draw(st.sampled_from(zeros))
+    grown = BinaryMatrix(m.rows, m.cols, m.cells[:i] + b"\x01" + m.cells[i + 1:])
+    assert freq_square(grown).side >= freq_square(m).side
+    assert maximal_rectangle(grown).area >= maximal_rectangle(m).area
+
+
+_times = st.floats(0.0, 1e6)
+_records = st.builds(
+    BenchRecord,
+    size=st.integers(1, 5000),
+    density=st.floats(0.0, 1.0),
+    baseline_times=st.just(()),
+    candidate_times=st.just(()),
+    baseline_trimmed_mean=_times,
+    candidate_trimmed_mean=_times,
+    speedup=st.one_of(_times, st.just(float("inf"))),
+    same_result=st.booleans(),
+    case=st.one_of(st.none(), st.sampled_from([k.value for k in EdgeKind])),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(list(TABLES)), st.booleans(), st.lists(_records, max_size=20))
+def test_render_table_shape(key, markdown, records):
+    columns = TABLES[key]
+    text = render_table(records, columns, markdown)
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    # CSV: the header; markdown: header and rule, plus the edge table's skipped-empty row
+    header_lines = 1 if not markdown else 3 if key == ("edge", "md") else 2
+    assert len(lines) == header_lines + len(records)
+    if markdown:
+        assert all(line.startswith(("| ", "|-")) for line in lines)
+        widths = {line.count("|") for line in lines}
+    else:
+        widths = {line.count(",") + 1 for line in lines}
+    assert widths == {len(columns) + (1 if markdown else 0)}

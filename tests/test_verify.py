@@ -109,6 +109,22 @@ def test_edge_case_suite_values():
     assert report.clean
 
 
+def test_edge_case_suite_checks_visit_count(monkeypatch):
+    # a freq_square that answers right but skips the visit count
+    def unvisited(m):
+        r = freq_square(m)
+        return SquareResult(r.side, r.area, 0)
+
+    monkeypatch.setattr("squarelab.verify.freq_square", unvisited)
+    report = edge_case_suite()
+    assert report.cases_run == 5
+    assert not report.mismatches
+    # every case but the 0x0 empty matrix, where 0 visits is right
+    failed = [f.case_id for f in report.invariant_failures]
+    assert failed == ["all_zeros_100", "all_ones_100", "single_row_1000", "single_col_1000"]
+    assert all("freq visited 0 cells" in f.description for f in report.invariant_failures)
+
+
 def test_render_report_format():
     report = exhaustive_sweep(2, 2)
     text = render_report(report)
