@@ -1,9 +1,9 @@
 """Maximal-square algorithms laboratory.
 
 Solvers for the largest all-ones square in a binary matrix (a single-pass
-frequency method plus dynamic-programming and brute-force references), a
-histogram-based maximal-rectangle baseline, a 3D cube extension,
-differential verification campaigns, and a benchmark harness.
+frequency method and its bit-parallel form, plus dynamic-programming and
+brute-force references), a histogram-based maximal-rectangle baseline, a 3D
+cube extension, differential verification campaigns, and a benchmark harness.
 """
 
 from .bench import (
@@ -52,6 +52,7 @@ from .squares import (
     brute_force_square,
     dp_full,
     dp_rows,
+    freq_bits,
     freq_square,
     freq_square_traced,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "edge_case_suite",
     "exhaustive_sweep",
     "exists_cube_at_depth",
+    "freq_bits",
     "freq_square",
     "freq_square_traced",
     "generate_edge_case",

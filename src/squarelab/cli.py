@@ -2,12 +2,14 @@
 
 Subcommands: solve, gen, verify, bench, cube, rect.  Machine-readable output
 (tables, CSV, reports) goes to stdout; diagnostics and timings go to stderr.
-Exit codes: 0 success, 1 verification finding, 2 usage or parse error.
+Exit codes: 0 success, 1 verification finding, 2 usage or parse error,
+130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -39,6 +41,7 @@ from .squares import (
     brute_force_square,
     dp_full,
     dp_rows,
+    freq_bits,
     freq_square,
 )
 from .verify import (
@@ -52,6 +55,7 @@ from .verify import (
 )
 
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
+    "bits": freq_bits,
     "freq": freq_square,
     "dp": dp_rows,
     "dp2d": dp_full,
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="find the largest all-ones square")
     p_solve.add_argument("path", nargs="?", default="-",
                          help="matrix file, or - for stdin (default)")
-    p_solve.add_argument("--algo", choices=sorted(SOLVE_ALGOS), default="freq")
+    p_solve.add_argument("--algo", choices=sorted(SOLVE_ALGOS), default="bits")
 
     p_gen = sub.add_parser("gen", help="generate a seeded random matrix")
     p_gen.add_argument("--rows", type=int, required=True)
@@ -245,7 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.subcommand](args)
+        code = _HANDLERS[args.subcommand](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except MatrixParseError as exc:
         line = f" (line {exc.line})" if exc.line else ""
         print(f"squarelab: parse error{line}: {exc}", file=sys.stderr)
@@ -253,6 +259,15 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapExceededError as exc:
         print(f"squarelab: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except KeyboardInterrupt:
+        print("squarelab: interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"squarelab: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grid import BinaryMatrix, BinaryVolume
-from .squares import OracleCapExceededError, freq_square
+from .squares import OracleCapExceededError, freq_bits
 
 CUBE_ORACLE_CELL_CAP = 4096
 
@@ -82,8 +82,8 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 
     Thresholding f at k turns the question into maximal-square detection:
     the window exists exactly when the binarized matrix holds a square of
-    side >= k, which the frequency solver answers in one pass with O(cols)
-    auxiliary space.
+    side >= k, which the bit-parallel frequency solver answers in one pass,
+    a whole row at a time, with O(cols log rows) bits of auxiliary space.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -92,7 +92,7 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
     binarized = BinaryMatrix(
         f.rows, f.cols, bytes(1 if v >= k else 0 for v in f.values)
     )
-    return freq_square(binarized).side >= k
+    return freq_bits(binarized).side >= k
 
 
 def max_cube(v: BinaryVolume) -> CubeResult:

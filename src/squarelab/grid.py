@@ -190,7 +190,8 @@ def _line_to_bits(line: str, lineno: int) -> bytes:
         raise InvalidCharError(
             f"invalid character {bad!r} at line {lineno}", lineno
         ) from None
-    if not set(raw) <= {0x30, 0x31}:
+    # deleting every '0' and '1' leaves nothing exactly when the line is valid
+    if raw.translate(None, b"01"):
         bad = next(ch for ch in line if ch not in "01")
         raise InvalidCharError(f"invalid character {bad!r} at line {lineno}", lineno)
     return raw.translate(_TO_BITS)

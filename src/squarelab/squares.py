@@ -2,17 +2,18 @@
 
 Four independent routes to the same answer: a frequency-tracking single-pass
 algorithm, the classic full-table DP recurrence, its row-rolling O(cols)-space
-variant, and a direct window-checking oracle.  Every solver reports how many
-cells it visited, and solvers can account their auxiliary allocations to an
-AllocationAudit, so the single-pass and bounded-space claims are testable
-rather than taken on faith.
+variant, and a direct window-checking oracle.  A fifth, freq_bits, runs the
+frequency algorithm a whole row at a time on bit masks.  Every solver reports
+how many cells it visited, and solvers can account their auxiliary
+allocations to an AllocationAudit, so the single-pass and bounded-space
+claims are testable rather than taken on faith.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import BinaryMatrix
+from .grid import _TO_TEXT, BinaryMatrix
 
 ORACLE_CELL_CAP = 10_000
 
@@ -137,6 +138,61 @@ def freq_square_traced(
     snapshots: list[FreqState] = []
     result = _freq_core(m, snapshots, audit)
     return result, snapshots
+
+
+def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:
+    """freq_square's threshold raising, one whole row at a time on bit masks.
+
+    Each row is packed into an int.  The per-column runs are a bit-sliced
+    counter: planes[k] holds bit k of every column's run, and a ripple-carry
+    increment masked by the row extends runs under ones and resets them under
+    zeros.  With t = best + 1, an MSB-first comparison gives the mask of
+    columns whose run is at least t, and about log2(t) shift-ANDs test it for
+    t consecutive set bits.  One test per row suffices: a square of side s
+    ending at row i contains one of side s - 1 ending at row i - 1, so best
+    grows by at most one per row.  Packing reads each cell once, so
+    cells_visited == rows * cols; the audit counts 64-bit words.
+    """
+    rows, cols, cells = m.rows, m.cols, m.cells
+    if rows == 0 or cols == 0:
+        return SquareResult(0, 0, 0)
+    words = (cols + 63) // 64
+    if audit is not None:
+        audit.add(words)  # the packed row
+    planes: list[int] = []
+    best = 0
+    for i in range(rows):
+        row = int(cells[i * cols:(i + 1) * cols].translate(_TO_TEXT), 2)
+        carry = row
+        for k, plane in enumerate(planes):
+            planes[k] = (plane ^ carry) & row
+            carry &= plane
+        if carry:
+            planes.append(carry)
+            if audit is not None:
+                audit.add(words)
+        t = best + 1
+        if t.bit_length() > len(planes):
+            continue  # every run is below 2**len(planes) <= t
+        # columns whose run's high bits are equal to / greater than t's so far
+        eq, gt = row, 0
+        for k in range(len(planes) - 1, -1, -1):
+            if t >> k & 1:
+                eq &= planes[k]
+            else:
+                above = eq & planes[k]
+                gt |= above
+                eq ^= above
+        tall = gt | eq
+        # after the loop, bit j is set iff columns j .. j + width - 1 are all tall
+        width = 1
+        while width < t and tall:
+            step = min(width, t - width)
+            tall &= tall >> step
+            width += step
+        if tall:
+            best = t
+    return SquareResult(best, best * best, rows * cols)
 
 
 def dp_full(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:

@@ -37,7 +37,7 @@ DEFAULT_SOLVERS: tuple[tuple[str, Solver], ...] = (
 )
 
 # solvers whose visit count must equal rows*cols exactly
-SINGLE_PASS_SOLVERS = ("freq", "dp_full", "dp_rows")
+SINGLE_PASS_SOLVERS = ("freq", "bits", "dp_full", "dp_rows")
 
 
 class EnumerationCapExceededError(ValueError):

@@ -1,7 +1,14 @@
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squarelab
+from squarelab import cli
 from squarelab.cli import main
 
 
@@ -19,7 +26,7 @@ def test_solve_all_ones(tmp_path, capsys):
     assert out == "side=3 area=9\n"
 
 
-@pytest.mark.parametrize("algo", ["freq", "dp", "dp2d", "brute"])
+@pytest.mark.parametrize("algo", ["bits", "freq", "dp", "dp2d", "brute"])
 def test_solve_algorithms_agree(tmp_path, capsys, algo):
     path = tmp_path / "m.txt"
     path.write_text("1101\n1111\n1111\n0110\n")
@@ -282,3 +289,37 @@ def test_rect_all_zeros(tmp_path, capsys):
     code, out, _ = run(capsys, "rect", str(path))
     assert code == 0
     assert out == "area=0 h=0 w=0\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(squarelab.__file__).parent.parent),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarelab", "verify", "--exhaustive-max", "2",
+             "--random-count", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    # a buffered stdout fails only at the final flush, after the per-section
+    # timings went to stderr; nothing else may follow them
+    lines = proc.stderr.decode().splitlines()
+    assert all(re.fullmatch(r"\w+: elapsed \d+\.\d+s", line) for line in lines)
+    assert not unbuffered or lines == []
+
+
+def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", interrupted)
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 130
+    assert out == ""
+    assert err == "squarelab: interrupted\n"

@@ -1,5 +1,6 @@
-"""Property-based tests: text round trips, monotonicity in the ones, and the
-shape of every rendered benchmark table."""
+"""Property-based tests: text round trips, the bit-parallel kernel against
+the per-cell one, monotonicity in the ones, and the shape of every rendered
+benchmark table."""
 
 import pytest
 
@@ -18,7 +19,7 @@ from squarelab.grid import (
     serialize_volume,
 )
 from squarelab.histogram import maximal_rectangle
-from squarelab.squares import freq_square
+from squarelab.squares import freq_bits, freq_square
 
 # the host's speed varies, so no per-example deadline
 PROPERTY = settings(deadline=None, max_examples=150)
@@ -58,6 +59,12 @@ def test_volume_text_round_trip(v):
     text = serialize_volume(v)
     assert parse_volume(text) == v
     assert serialize_volume(parse_volume(text)) == text
+
+
+@PROPERTY
+@given(matrices(max_dim=70))
+def test_freq_bits_equals_freq_square(m):
+    assert freq_bits(m) == freq_square(m)
 
 
 @PROPERTY

@@ -2,19 +2,23 @@ import random
 
 import pytest
 
+from squarelab.cli import DEFAULT_DENSITIES
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.squares import (
     ORACLE_CELL_CAP,
     AllocationAudit,
     OracleCapExceededError,
+    SquareResult,
     brute_force_square,
     dp_full,
     dp_rows,
+    freq_bits,
     freq_square,
     freq_square_traced,
 )
+from squarelab.verify import DEFAULT_SOLVERS, exhaustive_sweep, random_campaign
 
-ALL_SOLVERS = [freq_square, dp_full, dp_rows, brute_force_square]
+ALL_SOLVERS = [freq_square, freq_bits, dp_full, dp_rows, brute_force_square]
 
 
 def rows_matrix(rows):
@@ -98,7 +102,7 @@ def test_diagonal_has_no_square_beyond_one():
 
 def test_single_pass_visit_count():
     m = generate_matrix(GenSpec(13, 7, 0.5, 5))
-    for solver in (freq_square, dp_full, dp_rows):
+    for solver in (freq_square, freq_bits, dp_full, dp_rows):
         assert solver(m).cells_visited == 13 * 7
 
 
@@ -225,3 +229,70 @@ def test_result_area_is_side_squared():
         for solver in ALL_SOLVERS:
             r = solver(m)
             assert r.area == r.side * r.side
+
+
+def zeros(rows, cols):
+    return BinaryMatrix(rows, cols, bytes(rows * cols))
+
+
+def planted(m, top, left, side):
+    """m with a side x side block of ones whose top-left cell is (top, left)."""
+    cells = bytearray(m.cells)
+    for i in range(top, top + side):
+        cells[i * m.cols + left:i * m.cols + left + side] = b"\x01" * side
+    return BinaryMatrix(m.rows, m.cols, bytes(cells))
+
+
+def test_freq_bits_exhaustive_with_every_reference():
+    solvers = DEFAULT_SOLVERS + (("bits", freq_bits),)
+    report = exhaustive_sweep(4, 4, solvers=solvers)
+    assert report.clean
+    assert report.cases_run == 74_954
+
+
+def test_freq_bits_random_campaign_against_dp_rows():
+    solvers = (("bits", freq_bits), ("dp_rows", dp_rows))
+    report = random_campaign(10000, 64, DEFAULT_DENSITIES, seed=0, solvers=solvers)
+    assert report.clean
+    assert report.cases_run == 10000
+
+
+# (width, left column of the square): squares at the row's edges and across
+# each 64-bit word boundary
+WORD_BOUNDARY_CASES = [
+    (63, 0), (63, 57), (64, 0), (64, 58), (65, 59), (65, 61),
+    (200, 60), (200, 125), (200, 192),
+]
+
+
+@pytest.mark.parametrize("cols, left", WORD_BOUNDARY_CASES)
+def test_freq_bits_square_across_word_boundaries(cols, left):
+    side = min(7, cols - left)
+    m = planted(zeros(20, cols), 5, left, side)
+    assert freq_bits(m) == SquareResult(side, side * side, 20 * cols)
+    m = planted(generate_matrix(GenSpec(20, cols, 0.5, cols + left)), 5, left, side)
+    assert freq_bits(m) == dp_rows(m)
+
+
+def test_freq_bits_square_in_last_row_and_last_column():
+    assert freq_bits(planted(zeros(12, 9), 12 - 4, 9 - 4, 4)).side == 4
+    # a larger square in the last rows beats an early smaller one
+    assert freq_bits(planted(planted(zeros(12, 9), 0, 0, 2), 7, 4, 5)).side == 5
+
+
+def test_freq_bits_constant_and_degenerate_shapes():
+    ones = b"\x01"
+    assert freq_bits(BinaryMatrix(1000, 1000, ones * 10**6)).side == 1000
+    assert freq_bits(BinaryMatrix(1, 1000, ones * 1000)).side == 1
+    assert freq_bits(BinaryMatrix(1000, 1, ones * 1000)).side == 1
+    assert freq_bits(zeros(300, 300)).side == 0
+    assert freq_bits(EMPTY_MATRIX) == SquareResult(0, 0, 0)
+
+
+@pytest.mark.parametrize("rows, cols, density", [
+    (1, 1, 1.0), (10, 32, 0.5), (1000, 32, 1.0), (64, 65, 1.0), (300, 200, 0.9),
+])
+def test_freq_bits_aux_space_in_words(rows, cols, density):
+    audit = AllocationAudit()
+    freq_bits(generate_matrix(GenSpec(rows, cols, density, 1)), audit=audit)
+    assert audit.peak_elements <= (rows.bit_length() + 2) * ((cols + 63) // 64)
