@@ -70,7 +70,8 @@ DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="ascii")
+    # bytes, so a '\r' reaches the parser as it does from stdin
+    return Path(path).read_bytes().decode("ascii")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -117,12 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mismatch-out", default="mismatches.csv",
                           help="CSV written when disagreements are found")
 
+    bench_defaults = BenchConfig()
     p_bench = sub.add_parser("bench", help="time the frequency solver against a DP baseline")
-    p_bench.add_argument("--sizes", type=_int_list, default=(10, 50, 100, 500, 1000))
-    p_bench.add_argument("--densities", type=_float_list,
-                         default=(0.1, 0.3, 0.5, 0.7, 0.9))
-    p_bench.add_argument("--runs", type=int, default=30)
-    p_bench.add_argument("--trim", type=float, default=0.1)
+    p_bench.add_argument("--sizes", type=_int_list, default=bench_defaults.sizes)
+    p_bench.add_argument("--densities", type=_float_list, default=bench_defaults.densities)
+    p_bench.add_argument("--runs", type=int, default=bench_defaults.runs)
+    p_bench.add_argument("--trim", type=float, default=bench_defaults.trim_fraction)
     p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS), default="dp2d")
     p_bench.add_argument("--format", choices=("csv", "md"), default="md")
     p_bench.add_argument("--edge-cases", action="store_true",
@@ -130,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--plot", choices=[t.value for t in PlotTarget], default=None,
                          help="emit a tidy CSV data series instead of a table")
     p_bench.add_argument("--plot-size", type=int, default=500)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--warmup", type=int, default=1)
+    p_bench.add_argument("--seed", type=int, default=bench_defaults.seed)
+    p_bench.add_argument("--warmup", type=int, default=bench_defaults.warmup_runs)
 
     p_cube = sub.add_parser("cube", help="find the largest all-ones cube in a volume")
     p_cube.add_argument("path", nargs="?", default="-")

@@ -116,9 +116,7 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     return CubeResult(best, visited)
 
 
-def brute_force_cube(
-    v: BinaryVolume, cap: int = CUBE_ORACLE_CELL_CAP
-) -> CubeResult:
+def brute_force_cube(v: BinaryVolume) -> CubeResult:
     """Direct oracle: grow a cube at every anchor while its new shell is all ones.
 
     Growing side k to k+1 adds three faces; a zero in any face stops growth
@@ -126,9 +124,10 @@ def brute_force_cube(
     """
     depth, rows, cols, cells = v.depth, v.rows, v.cols, v.cells
     total = depth * rows * cols
-    if total > cap:
+    if total > CUBE_ORACLE_CELL_CAP:
         raise OracleCapExceededError(
-            f"{depth}x{rows}x{cols} = {total} cells exceeds cube oracle cap {cap}"
+            f"{depth}x{rows}x{cols} = {total} cells exceeds cube oracle cap "
+            f"{CUBE_ORACLE_CELL_CAP}"
         )
     best = 0
     visited = 0

@@ -204,27 +204,32 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+def _parse_rows(lines: list[str], first: int) -> BinaryMatrix:
+    """Parse non-empty `lines` as one matrix; `first` is the 1-based number
+    of lines[0] in the whole text.  Each line is checked for blank, then
+    ragged, then bad characters."""
+    cols = len(lines[0])
+    chunks = []
+    for lineno, line in enumerate(lines, first):
+        if not line:
+            raise MatrixParseError(
+                f"line {lineno} is blank; a matrix has no blank lines", lineno
+            )
+        if len(line) != cols:
+            raise RaggedRowsError(
+                f"line {lineno} has {len(line)} cells, expected {cols}", lineno
+            )
+        chunks.append(_line_to_bits(line, lineno))
+    return BinaryMatrix(len(lines), cols, b"".join(chunks))
+
+
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse '0'/'1' text, one line per row.  Empty input is the 0x0 matrix.
 
     A blank line is an error: only volumes separate layers with blank lines.
     """
     lines = _split_lines(text)
-    if not lines:
-        return EMPTY_MATRIX
-    cols = len(lines[0])
-    chunks = []
-    for i, line in enumerate(lines):
-        if not line:
-            raise MatrixParseError(
-                f"line {i + 1} is blank; a matrix has no blank lines", i + 1
-            )
-        if len(line) != cols:
-            raise RaggedRowsError(
-                f"line {i + 1} has {len(line)} cells, expected {cols}", i + 1
-            )
-        chunks.append(_line_to_bits(line, i + 1))
-    return BinaryMatrix(len(lines), cols, b"".join(chunks))
+    return _parse_rows(lines, 1) if lines else EMPTY_MATRIX
 
 
 def serialize_matrix(m: BinaryMatrix) -> str:
@@ -237,59 +242,46 @@ def serialize_matrix(m: BinaryMatrix) -> str:
 
 
 def parse_volume(text: str) -> BinaryVolume:
-    """Parse layers separated by exactly one blank line, depth 0 first."""
+    """Parse layers separated by exactly one blank line, depth 0 first.
+
+    Each layer goes through the matrix row parser; what is left here is
+    that no layer is empty and that every layer has the first one's shape.
+    """
     lines = _split_lines(text)
     if not lines:
         return EMPTY_VOLUME
-    layers: list[list[bytes]] = []
-    current: list[bytes] = []
-    current_cols = -1
-    shape: tuple[int, int] | None = None
-
-    def flush(lineno: int):
-        nonlocal current, current_cols, shape
-        if not current:
+    layers: list[BinaryMatrix] = []
+    start = 0
+    for end in [i for i, line in enumerate(lines) if not line] + [len(lines)]:
+        lineno = end + 1  # the blank line closing the layer, or one past the text
+        if start == end:
+            raise LayerShapeMismatchError(f"empty layer before line {lineno}", lineno)
+        layer = _parse_rows(lines[start:end], start + 1)
+        first = layers[0] if layers else layer
+        if (layer.rows, layer.cols) != (first.rows, first.cols):
             raise LayerShapeMismatchError(
-                f"empty layer before line {lineno}", lineno
-            )
-        this_shape = (len(current), current_cols)
-        if shape is None:
-            shape = this_shape
-        elif this_shape != shape:
-            raise LayerShapeMismatchError(
-                f"layer {len(layers) + 1} is {this_shape[0]}x{this_shape[1]}, "
-                f"expected {shape[0]}x{shape[1]} (line {lineno})",
+                f"layer {len(layers) + 1} is {layer.rows}x{layer.cols}, "
+                f"expected {first.rows}x{first.cols} (line {lineno})",
                 lineno,
             )
-        layers.append(current)
-        current = []
-        current_cols = -1
-
-    for i, line in enumerate(lines):
-        if line == "":
-            flush(i + 1)
-            continue
-        bits = _line_to_bits(line, i + 1)
-        if current_cols == -1:
-            current_cols = len(bits)
-        elif len(bits) != current_cols:
-            raise RaggedRowsError(
-                f"line {i + 1} has {len(bits)} cells, expected {current_cols}",
-                i + 1,
-            )
-        current.append(bits)
-    flush(len(lines) + 1)
-
-    assert shape is not None
-    rows, cols = shape
-    flat = b"".join(b"".join(layer) for layer in layers)
-    return BinaryVolume(len(layers), rows, cols, flat)
+        layers.append(layer)
+        start = end + 1
+    return BinaryVolume.from_layers(layers)
 
 
 def serialize_volume(v: BinaryVolume) -> str:
     """Inverse of parse_volume: layers joined by one blank line."""
     parts = [serialize_matrix(v.layer(d)) for d in range(v.depth)]
     return "\n".join(parts)
+
+
+def _random_cells(spec: GenSpec) -> bytes:
+    """The spec's cells in storage order: cell k is 1 when the k-th variate
+    of random.Random(spec.seed) is below spec.density."""
+    rand = random.Random(spec.seed).random
+    density = spec.density
+    n = (spec.depth or 1) * spec.rows * spec.cols
+    return bytes(1 if rand() < density else 0 for _ in range(n))
 
 
 def generate_matrix(spec: GenSpec) -> BinaryMatrix:
@@ -300,23 +292,14 @@ def generate_matrix(spec: GenSpec) -> BinaryMatrix:
     """
     if spec.depth is not None:
         raise ValueError("spec has depth set; use generate_volume")
-    rng = random.Random(spec.seed)
-    rand = rng.random
-    density = spec.density
-    cells = bytes(1 if rand() < density else 0 for _ in range(spec.rows * spec.cols))
-    return BinaryMatrix(spec.rows, spec.cols, cells)
+    return BinaryMatrix(spec.rows, spec.cols, _random_cells(spec))
 
 
 def generate_volume(spec: GenSpec) -> BinaryVolume:
     """Seeded random volume; variates are consumed in depth-major order."""
     if spec.depth is None:
         raise ValueError("spec has no depth; use generate_matrix")
-    rng = random.Random(spec.seed)
-    rand = rng.random
-    density = spec.density
-    n = spec.depth * spec.rows * spec.cols
-    cells = bytes(1 if rand() < density else 0 for _ in range(n))
-    return BinaryVolume(spec.depth, spec.rows, spec.cols, cells)
+    return BinaryVolume(spec.depth, spec.rows, spec.cols, _random_cells(spec))
 
 
 def generate_edge_case(kind: EdgeKind, n: int) -> BinaryMatrix:

@@ -256,11 +256,7 @@ def dp_rows(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResu
     return SquareResult(best, best * best, visited)
 
 
-def brute_force_square(
-    m: BinaryMatrix,
-    audit: AllocationAudit | None = None,
-    cap: int = ORACLE_CELL_CAP,
-) -> SquareResult:
+def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:
     """Direct oracle: grow a square at every anchor while its border is all ones.
 
     Checks the (top, left, k) windows explicitly; once side k fails at an
@@ -268,9 +264,9 @@ def brute_force_square(
     cells_visited counts raw cell reads, which exceed rows*cols.
     """
     rows, cols, cells = m.rows, m.cols, m.cells
-    if rows * cols > cap:
+    if rows * cols > ORACLE_CELL_CAP:
         raise OracleCapExceededError(
-            f"{rows}x{cols} = {rows * cols} cells exceeds oracle cap {cap}"
+            f"{rows}x{cols} = {rows * cols} cells exceeds oracle cap {ORACLE_CELL_CAP}"
         )
     if audit is not None:
         audit.add(0)  # no auxiliary storage

@@ -14,7 +14,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .grid import EDGE_SIZES, EMPTY_MATRIX, BinaryMatrix, EdgeKind, GenSpec, generate_edge_case, generate_matrix
+from .grid import (
+    _TO_BITS,
+    _TO_TEXT,
+    EDGE_SIZES,
+    EMPTY_MATRIX,
+    BinaryMatrix,
+    EdgeKind,
+    GenSpec,
+    generate_edge_case,
+    generate_matrix,
+    serialize_matrix,
+)
 from .squares import (
     SquareResult,
     brute_force_square,
@@ -25,6 +36,9 @@ from .squares import (
 )
 
 ENUMERATION_CAP = 2**20
+
+# every this many random cases also recheck the frequency solver's state
+STATE_CHECK_STRIDE = 100
 
 Solver = Callable[[BinaryMatrix], SquareResult]
 
@@ -138,19 +152,13 @@ def enumeration_count(max_rows: int, max_cols: int) -> int:
     )
 
 
-_BITS8 = [bytes(((byte >> (7 - t)) & 1) for t in range(8)) for byte in range(256)]
-
-
 def _pattern_cells(pattern: int, width: int) -> bytes:
     """Row-major cells for a pattern integer, most significant bit first.
 
     Ascending pattern order is lexicographic order on the cell string, so
     the first disagreement found per shape is the minimal reproducer.
     """
-    nbytes = (width + 7) // 8
-    raw = pattern.to_bytes(nbytes, "big")
-    bits = b"".join(_BITS8[b] for b in raw)
-    return bits[nbytes * 8 - width:]
+    return format(pattern, f"0{width}b").encode().translate(_TO_BITS)
 
 
 def exhaustive_sweep(
@@ -190,11 +198,10 @@ def random_campaign(
     densities: set[float],
     seed: int,
     solvers: tuple[tuple[str, Solver], ...] = DEFAULT_SOLVERS,
-    state_check_stride: int = 100,
 ) -> VerifyReport:
     """Seeded random matrices, shapes up to max_dim x max_dim, cycling densities.
 
-    Every case gets the four-way comparison; every state_check_stride-th case
+    Every case gets the four-way comparison; every STATE_CHECK_STRIDE-th case
     additionally recomputes the frequency solver's per-row state from scratch.
     Identical arguments produce an identical report.
     """
@@ -212,7 +219,7 @@ def random_campaign(
         matrix = generate_matrix(GenSpec(rows, cols, density, matrix_seed))
         case_id = f"random#{index}"
         _check_case(case_id, matrix, solvers, report)
-        if index % state_check_stride == 0:
+        if index % STATE_CHECK_STRIDE == 0:
             _check_freq_state(case_id, matrix, report)
     report.elapsed = time.perf_counter() - start
     return report
@@ -257,8 +264,7 @@ def render_report(report: VerifyReport) -> str:
     ]
     for mm in report.mismatches:
         lines.append(f"mismatch case={mm.case_id} rows={mm.matrix.rows} cols={mm.matrix.cols}")
-        for i in range(mm.matrix.rows):
-            lines.append("  " + "".join(str(c) for c in mm.matrix.row(i)))
+        lines.extend("  " + row for row in serialize_matrix(mm.matrix).splitlines())
         lines.append("  sides " + " ".join(f"{n}={s}" for n, s in mm.sides))
     for inv in report.invariant_failures:
         where = f" row={inv.row}" if inv.row >= 0 else ""
@@ -276,7 +282,7 @@ def render_mismatch_csv(*reports: VerifyReport) -> str:
     header = "case,rows,cols,cells," + ",".join(f"{n}_side" for n in solver_names)
     lines = [header]
     for mm in mismatches:
-        cells = "".join(str(c) for c in mm.matrix.cells)
+        cells = mm.matrix.cells.translate(_TO_TEXT).decode("ascii")
         by_name = dict(mm.sides)
         sides = ",".join(str(by_name.get(n, "")) for n in solver_names)
         lines.append(f"{mm.case_id},{mm.matrix.rows},{mm.matrix.cols},{cells},{sides}")

@@ -9,6 +9,7 @@ import pytest
 
 import squarelab
 from squarelab import cli
+from squarelab.bench import BenchConfig
 from squarelab.cli import main
 
 
@@ -56,6 +57,21 @@ def test_solve_parse_error_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command, data", [
+    ("solve", b"101\r\n111\r\n"),
+    ("solve", b"101\r111\r"),  # a lone '\r' is not a line break either
+    ("cube", b"11\r\n11\r\n\r\n11\r\n11\r\n"),
+], ids=["solve-crlf", "solve-lone-cr", "cube-crlf"])
+def test_crlf_file_is_rejected(tmp_path, capsys, command, data):
+    # a file must fail as the same bytes on stdin do, not be read as '\n' lines
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "squarelab: parse error (line 1): invalid character '\\r' at line 1\n"
 
 
 @pytest.mark.parametrize("command, text", [
@@ -222,6 +238,13 @@ def test_bench_plot_time_at_size(capsys):
 def test_bench_bad_sizes_list(capsys):
     code, _, _ = run(capsys, "bench", "--sizes", "10,abc")
     assert code == 2
+
+
+def test_bench_defaults_are_bench_config(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "run_grid", lambda config: configs.append(config) or [])
+    assert main(["bench"]) == 0
+    assert configs == [BenchConfig()]
 
 
 def test_bench_baseline_flag(capsys):

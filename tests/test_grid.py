@@ -120,10 +120,37 @@ def test_parse_volume_empty():
 
 
 def test_parse_volume_shape_drift_rejected():
-    with pytest.raises(LayerShapeMismatchError):
+    # the line named is the blank line closing the layer, or one past the text
+    with pytest.raises(LayerShapeMismatchError) as info:
         parse_volume("10\n01\n\n111\n000\n")
-    with pytest.raises(LayerShapeMismatchError):
+    assert info.value.line == 6
+    with pytest.raises(LayerShapeMismatchError) as info:
         parse_volume("1\n\n11\n")
+    assert info.value.line == 4
+    with pytest.raises(LayerShapeMismatchError) as info:
+        parse_volume("1\n\n11\n\n1\n")
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize("text, line", [
+    ("10\n\n\n01\n", 3),  # two blank lines in a row
+    ("\n10\n", 1),  # leading blank line
+    ("10\n01\n\n", 4),  # trailing blank line
+])
+def test_parse_volume_empty_layer_names_line(text, line):
+    with pytest.raises(LayerShapeMismatchError) as info:
+        parse_volume(text)
+    assert info.value.line == line
+    assert str(info.value) == f"empty layer before line {line}"
+
+
+def test_parse_volume_ragged_before_invalid():
+    # a line both too long and holding a bad character is ragged, as in a matrix
+    with pytest.raises(RaggedRowsError) as info:
+        parse_volume("10\n01\n\n11\n0x1\n")
+    assert info.value.line == 5
+    with pytest.raises(RaggedRowsError):
+        parse_matrix("11\n0x1\n")
 
 
 def test_parse_volume_ragged_reports_global_line():

@@ -45,6 +45,22 @@ def test_exhaustive_sweep_single_row_family():
     assert report.clean
 
 
+def test_exhaustive_sweep_order():
+    # each cell string reaches the solvers once, ascending per shape, which
+    # makes the first mismatch of a shape its minimal reproducer
+    seen = []
+
+    def recording(m):
+        seen.append((m.rows, m.cols, "".join(map(str, m.cells))))
+        return dp_full(m)
+
+    exhaustive_sweep(2, 3, solvers=(("recording", recording),))
+    assert seen == [
+        (r, c, format(p, f"0{r * c}b"))
+        for r in (1, 2) for c in (1, 2, 3) for p in range(2 ** (r * c))
+    ]
+
+
 def test_exhaustive_sweep_cap_enforced():
     assert enumeration_count(99, 99) > ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceededError):
