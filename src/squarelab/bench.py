@@ -30,6 +30,10 @@ EDGE_LABELS: dict[EdgeKind, str] = {
 }
 
 
+# the size a TIME_VS_DENSITY_AT_SIZE series keeps unless told otherwise
+PLOT_SIZE = 500
+
+
 class EmptyAfterTrimError(ValueError):
     """Trimming would discard every sample."""
 
@@ -203,7 +207,7 @@ TABLES: dict[tuple[str, str] | PlotTarget, tuple[Column, ...]] = {
 
 
 def plot_selection(
-    records: list[BenchRecord], target: PlotTarget, size: int = 500
+    records: list[BenchRecord], target: PlotTarget, size: int = PLOT_SIZE
 ) -> list[BenchRecord]:
     """The records a plot series shows: TIME_VS_DENSITY_AT_SIZE keeps those
     at `size`, the other targets keep all.  Raises NoRecordsError when none

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bench import (
+    PLOT_SIZE,
     TABLES,
     BenchConfig,
     PlotTarget,
@@ -70,8 +71,9 @@ DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    # bytes, so a '\r' reaches the parser as it does from stdin
-    return Path(path).read_bytes().decode("ascii")
+    # bytes decoded as stdin is, so a '\r' or a non-ASCII byte reaches the
+    # parser and fails there with its line number
+    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -124,13 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--densities", type=_float_list, default=bench_defaults.densities)
     p_bench.add_argument("--runs", type=int, default=bench_defaults.runs)
     p_bench.add_argument("--trim", type=float, default=bench_defaults.trim_fraction)
-    p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS), default="dp2d")
+    default_baseline = next(flag for flag, name in BASELINE_FLAGS.items()
+                            if name == bench_defaults.baseline)
+    p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS), default=default_baseline)
     p_bench.add_argument("--format", choices=("csv", "md"), default="md")
     p_bench.add_argument("--edge-cases", action="store_true",
                          help="run the constant edge cases instead of the size grid")
     p_bench.add_argument("--plot", choices=[t.value for t in PlotTarget], default=None,
                          help="emit a tidy CSV data series instead of a table")
-    p_bench.add_argument("--plot-size", type=int, default=500)
+    p_bench.add_argument("--plot-size", type=int, default=PLOT_SIZE)
     p_bench.add_argument("--seed", type=int, default=bench_defaults.seed)
     p_bench.add_argument("--warmup", type=int, default=bench_defaults.warmup_runs)
 

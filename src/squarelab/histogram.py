@@ -1,15 +1,19 @@
 """Histogram-based maximal rectangle baseline.
 
-Two phases: per-row column-height histograms, then a linear monotonic-stack
-sweep for the largest rectangle under each histogram.  Serves as the
-comparison point for the square solvers (every square is a rectangle).
+Per row, the column heights form a histogram, and a linear monotonic-stack
+sweep finds the largest rectangle under it.  `maximal_rectangle` keeps the
+heights as a bit-sliced counter and runs the stack only on rows that a
+shift-AND certificate cannot rule out.  Serves as the comparison point for
+the square solvers (every square is a rectangle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from math import isqrt
 
+from .bitplanes import at_least, has_run, increment, max_height, packed_rows
+from .bitplanes import heights as column_heights
 from .grid import BinaryMatrix
 
 Histogram = list[int]
@@ -24,20 +28,14 @@ class RectResult:
     width: int
 
 
-def _row_heights(m: BinaryMatrix) -> Iterator[Histogram]:
-    """Yield each row's histogram: heights[j] is the run of ones in column j
-    ending at that row.  One list is updated in place and yielded every time,
-    so a caller that keeps a row must copy it."""
-    heights = [0] * m.cols
-    for i in range(m.rows):
-        for j, cell in enumerate(m.row(i)):
-            heights[j] = heights[j] + 1 if cell else 0
-        yield heights
-
-
 def build_histograms(m: BinaryMatrix) -> list[Histogram]:
     """One histogram per row: heights[j] is the run of ones in column j ending there."""
-    return [heights.copy() for heights in _row_heights(m)]
+    out: list[Histogram] = []
+    heights = [0] * m.cols
+    for i in range(m.rows):
+        heights = [h + 1 if cell else 0 for h, cell in zip(heights, m.row(i))]
+        out.append(heights)
+    return out
 
 
 def largest_rect_in_histogram(heights: Histogram) -> RectResult:
@@ -61,11 +59,56 @@ def largest_rect_in_histogram(heights: Histogram) -> RectResult:
     return best
 
 
+def _beats(planes: list[int], row: int, lo: int, hi: int, best: int) -> bool:
+    """Whether some rectangle ending on this row, of height in [lo, hi], has
+    area above `best`.
+
+    L(h), the longest run of columns with height at least h, never grows as
+    h grows.  So when the mask at_least(a) has no run of best // b + 1
+    columns, every h in [a, b] gives h * L(h) <= b * L(a) <= best, and the
+    interval is certified with one comparison and a few shift-ANDs.  An
+    interval that fails is split at its geometric mean, since the bound is
+    loose by the factor b / a; a single height h that fails holds a
+    rectangle h * (best // h + 1) > best.
+    """
+    pending = [(lo, hi)]
+    while pending:
+        a, b = pending.pop()
+        if not has_run(at_least(planes, a, row), best // b + 1):
+            continue
+        if a == b:
+            return True
+        mid = isqrt(a * b)  # a <= mid < b, and b / a shrinks evenly on both sides
+        pending.append((a, mid))
+        pending.append((mid + 1, b))
+    return False
+
+
 def maximal_rectangle(m: BinaryMatrix) -> RectResult:
-    """Largest all-ones rectangle: best histogram rectangle over all rows."""
+    """Largest all-ones rectangle: best histogram rectangle over all rows.
+
+    The column heights are a bit-sliced counter (see `bitplanes`).  A row
+    goes to the histogram stack only when it may hold a rectangle larger
+    than the best so far: when hmax * cols <= best it is skipped, and
+    otherwise `_beats` certifies it on the planes.  The row after one that
+    raised the best goes straight to the stack, since such rows usually
+    raise it again.  A skipped or certified row has no stack pop above the
+    best, and a stack row runs the same sweep on the same heights, so the
+    result, ties included, is the stack's on every row.
+    """
+    cols = m.cols
     best = RectResult(0, 0, 0)
-    for heights in _row_heights(m):
-        candidate = largest_rect_in_histogram(heights)
-        if candidate.area > best.area:
+    planes: list[int] = []
+    raised = False
+    for row in packed_rows(m):
+        increment(planes, row)
+        if not raised:
+            lo = best.area // cols + 1
+            hmax = max_height(planes, row)
+            if lo > hmax or not _beats(planes, row, lo, hmax, best.area):
+                continue
+        candidate = largest_rect_in_histogram(column_heights(planes, cols))
+        raised = candidate.area > best.area
+        if raised:
             best = candidate
     return best

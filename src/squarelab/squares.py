@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import _TO_TEXT, BinaryMatrix
+from .bitplanes import at_least, has_run, increment, packed_rows
+from .grid import BinaryMatrix
 
 ORACLE_CELL_CAP = 10_000
 
@@ -144,16 +145,17 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     """freq_square's threshold raising, one whole row at a time on bit masks.
 
     Each row is packed into an int.  The per-column runs are a bit-sliced
-    counter: planes[k] holds bit k of every column's run, and a ripple-carry
-    increment masked by the row extends runs under ones and resets them under
-    zeros.  With t = best + 1, an MSB-first comparison gives the mask of
-    columns whose run is at least t, and about log2(t) shift-ANDs test it for
-    t consecutive set bits.  One test per row suffices: a square of side s
-    ending at row i contains one of side s - 1 ending at row i - 1, so best
-    grows by at most one per row.  Packing reads each cell once, so
-    cells_visited == rows * cols; the audit counts 64-bit words.
+    counter (see `bitplanes`): planes[k] holds bit k of every column's run,
+    and a ripple-carry increment masked by the row extends runs under ones
+    and resets them under zeros.  With t = best + 1, an MSB-first comparison
+    gives the mask of columns whose run is at least t, and about log2(t)
+    shift-ANDs test it for t consecutive set bits.  One test per row
+    suffices: a square of side s ending at row i contains one of side s - 1
+    ending at row i - 1, so best grows by at most one per row.  Packing
+    reads each cell once, so cells_visited == rows * cols; the audit counts
+    64-bit words.
     """
-    rows, cols, cells = m.rows, m.cols, m.cells
+    rows, cols = m.rows, m.cols
     if rows == 0 or cols == 0:
         return SquareResult(0, 0, 0)
     words = (cols + 63) // 64
@@ -161,37 +163,13 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
         audit.add(words)  # the packed row
     planes: list[int] = []
     best = 0
-    for i in range(rows):
-        row = int(cells[i * cols:(i + 1) * cols].translate(_TO_TEXT), 2)
-        carry = row
-        for k, plane in enumerate(planes):
-            planes[k] = (plane ^ carry) & row
-            carry &= plane
-        if carry:
-            planes.append(carry)
-            if audit is not None:
-                audit.add(words)
-        t = best + 1
-        if t.bit_length() > len(planes):
-            continue  # every run is below 2**len(planes) <= t
-        # columns whose run's high bits are equal to / greater than t's so far
-        eq, gt = row, 0
-        for k in range(len(planes) - 1, -1, -1):
-            if t >> k & 1:
-                eq &= planes[k]
-            else:
-                above = eq & planes[k]
-                gt |= above
-                eq ^= above
-        tall = gt | eq
-        # after the loop, bit j is set iff columns j .. j + width - 1 are all tall
-        width = 1
-        while width < t and tall:
-            step = min(width, t - width)
-            tall &= tall >> step
-            width += step
-        if tall:
-            best = t
+    for row in packed_rows(m):
+        depth = len(planes)
+        increment(planes, row)
+        if audit is not None and len(planes) > depth:
+            audit.add(words)
+        if has_run(at_least(planes, best + 1, row), best + 1):
+            best += 1
     return SquareResult(best, best * best, rows * cols)
 
 

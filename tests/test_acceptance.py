@@ -22,6 +22,7 @@ from squarelab.cubes import DepthFreqMatrix
 from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
+    EDGE_SIZES,
     EdgeKind,
     GenSpec,
     EMPTY_MATRIX,
@@ -29,7 +30,12 @@ from squarelab.grid import (
     generate_matrix,
     generate_volume,
 )
-from squarelab.histogram import largest_rect_in_histogram, maximal_rectangle
+from squarelab.histogram import (
+    RectResult,
+    build_histograms,
+    largest_rect_in_histogram,
+    maximal_rectangle,
+)
 from squarelab.squares import (
     AllocationAudit,
     brute_force_square,
@@ -112,6 +118,16 @@ def column_runs_by_row(m):
     return out
 
 
+def stack_rectangle(m):
+    """The stack on every row's histogram, kept on a strictly larger area."""
+    best = RectResult(0, 0, 0)
+    for heights in build_histograms(m):
+        candidate = largest_rect_in_histogram(heights)
+        if candidate.area > best.area:
+            best = candidate
+    return best
+
+
 def test_criterion_1_exhaustive_correctness(capsys, exhaustive_cli_run):
     code, out, _, elapsed = exhaustive_cli_run
     with criterion(capsys, 1, "exhaustive sweep to 4x4"):
@@ -175,13 +191,17 @@ def test_criterion_4_visit_and_space_instrumentation(
 
 def test_criterion_5_edge_case_values(capsys):
     with criterion(capsys, 5, "edge-case results"):
-        cases = [
-            (generate_edge_case(EdgeKind.ALL_ZEROS, 100), 0),
-            (generate_edge_case(EdgeKind.ALL_ONES, 100), 10000),
-            (generate_edge_case(EdgeKind.SINGLE_ROW, 1000), 1),
-            (generate_edge_case(EdgeKind.SINGLE_COL, 1000), 1),
-            (EMPTY_MATRIX, 0),
-        ]
+        # largest square area of each edge kind at size n
+        square_area = {
+            EdgeKind.ALL_ZEROS: lambda n: 0,
+            EdgeKind.ALL_ONES: lambda n: n * n,
+            EdgeKind.SINGLE_ROW: lambda n: 1,
+            EdgeKind.SINGLE_COL: lambda n: 1,
+        }
+        cases = [(generate_edge_case(kind, n), square_area[kind](n))
+                 for kind, n in EDGE_SIZES.items()]
+        cases.append((EMPTY_MATRIX, 0))
+        assert [area for _, area in cases] == [0, 10000, 1, 1, 0]
         for m, want_area in cases:
             freq = freq_square(m)
             full = dp_full(m)
@@ -265,7 +285,9 @@ def test_criterion_8_histogram_baseline(capsys):
             m = generate_matrix(GenSpec(rng.randint(1, 24), rng.randint(1, 24),
                                         rng.random(), rng.getrandbits(32)))
             side = freq_square(m).side
-            assert maximal_rectangle(m).area >= side * side
+            got = maximal_rectangle(m)
+            assert got.area >= side * side
+            assert got == stack_rectangle(m)
 
 
 def test_criterion_9_cube_extension(capsys):

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import io
 import os
 import re
@@ -9,7 +11,7 @@ import pytest
 
 import squarelab
 from squarelab import cli
-from squarelab.bench import BenchConfig
+from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
 
 
@@ -72,6 +74,36 @@ def test_crlf_file_is_rejected(tmp_path, capsys, command, data):
     assert code == 2
     assert out == ""
     assert err == "squarelab: parse error (line 1): invalid character '\\r' at line 1\n"
+
+
+@pytest.mark.parametrize("command, data, line, char", [
+    ("solve", "10\n1é\n".encode(), 2, "é"),
+    ("cube", "11\n11\n\n11\n1é\n".encode(), 5, "é"),
+    ("solve", b"10\n1\xff\n", 2, "\\udcff"),  # not UTF-8: kept as a surrogate
+], ids=["solve-utf8", "cube-utf8", "solve-invalid-utf8"])
+def test_non_ascii_file_names_line(tmp_path, capsys, command, data, line, char):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"squarelab: parse error (line {line}): invalid character '{char}' at line {line}\n"
+
+
+def test_non_ascii_file_fails_as_stdin(tmp_path):
+    data = b"10\n1\xc3\xa9\n1\xff\n"
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    # pin how stdin decodes, which otherwise follows the locale
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(squarelab.__file__).parent.parent),
+               PYTHONIOENCODING="utf-8:surrogateescape")
+    argv = [sys.executable, "-m", "squarelab", "solve"]
+    from_file = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60)
+    from_stdin = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+    assert from_file.returncode == from_stdin.returncode == 2
+    assert from_file.stderr == from_stdin.stderr
+    assert b"(line 2): invalid character" in from_file.stderr
 
 
 @pytest.mark.parametrize("command, text", [
@@ -241,10 +273,19 @@ def test_bench_bad_sizes_list(capsys):
 
 
 def test_bench_defaults_are_bench_config(capsys, monkeypatch):
-    configs = []
+    configs, sizes = [], []
     monkeypatch.setattr(cli, "run_grid", lambda config: configs.append(config) or [])
     assert main(["bench"]) == 0
     assert configs == [BenchConfig()]
+    # the --baseline default follows BenchConfig's, through BASELINE_FLAGS
+    monkeypatch.setattr(cli, "BenchConfig", functools.partial(BenchConfig, baseline="dp_rows"))
+    assert main(["bench"]) == 0
+    assert configs[-1] == BenchConfig(baseline="dp_rows")
+    # the --plot-size default is plot_selection's
+    monkeypatch.setattr(cli, "plot_selection",
+                        lambda records, target, size: sizes.append(size) or records)
+    assert main(["bench", "--plot", "time_vs_density_at_size"]) == 0
+    assert sizes == [inspect.signature(plot_selection).parameters["size"].default]
 
 
 def test_bench_baseline_flag(capsys):

@@ -1,12 +1,32 @@
+import itertools
 import random
 
+import pytest
+
+from squarelab.bitplanes import increment, max_height
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.histogram import (
+    RectResult,
+    _beats,
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
 )
 from squarelab.squares import freq_square, freq_square_traced
+
+
+def stack_rectangle(m):
+    """The stack on every row's histogram, kept on a strictly larger area."""
+    best = RectResult(0, 0, 0)
+    for heights in build_histograms(m):
+        candidate = largest_rect_in_histogram(heights)
+        if candidate.area > best.area:
+            best = candidate
+    return best
+
+
+def triangle(n):
+    return BinaryMatrix(n, n, bytes(j <= i for i in range(n) for j in range(n)))
 
 
 def brute_max_rectangle(m):
@@ -101,3 +121,77 @@ def test_rectangle_bounds_square():
                                     rng.random(), rng.getrandbits(32)))
         side = freq_square(m).side
         assert maximal_rectangle(m).area >= side * side
+
+
+def test_maximal_rectangle_every_matrix_up_to_4x4():
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            for cells in itertools.product(b"\x00\x01", repeat=rows * cols):
+                m = BinaryMatrix(rows, cols, bytes(cells))
+                assert maximal_rectangle(m) == stack_rectangle(m), m
+
+
+@pytest.mark.parametrize("cols", [63, 64, 65])
+def test_maximal_rectangle_across_word_boundaries(cols):
+    rng = random.Random(cols)
+    for density in (0.5, 0.8, 0.95, 1.0):
+        m = generate_matrix(GenSpec(40, cols, density, rng.getrandbits(32)))
+        assert maximal_rectangle(m) == stack_rectangle(m)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (255, 3), (256, 3), (257, 3), (300, 5), (70000, 2),
+], ids=["255", "256", "257", "300", "70000x2"])
+def test_maximal_rectangle_heights_at_lane_edges(rows, cols):
+    # the heights pass one byte at 256 and two bytes at 65536
+    m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(rows * cols, rows, cols)
+
+
+@pytest.mark.parametrize("m", [
+    BinaryMatrix(120, 90, b"\x01" * (120 * 90)),
+    triangle(150),
+    BinaryMatrix(50, 60, bytes(50 * 60)),
+    EMPTY_MATRIX,
+    BinaryMatrix(1, 1000, b"\x01" * 1000),
+    BinaryMatrix(1000, 1, b"\x01" * 1000),
+    BinaryMatrix(3, 0, b""),
+], ids=["ones", "triangle", "zeros", "empty", "1x1000", "1000x1", "3x0"])
+def test_maximal_rectangle_special_shapes(m):
+    assert maximal_rectangle(m) == stack_rectangle(m)
+
+
+def test_maximal_rectangle_keeps_the_stacks_tie_break():
+    # row 2's histogram [3, 3, 1, 1, 1, 1] holds 3x2 and 1x6: the stack pops 3x2 first
+    m = BinaryMatrix.from_rows([[1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [1] * 6])
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(6, 3, 2)
+    # row 1 ties row 0's 1x6 with a 2x3: the first row to reach the area wins
+    m = BinaryMatrix.from_rows([[1] * 6, [1, 1, 1, 0, 0, 0]])
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(6, 1, 6)
+
+
+def test_maximal_rectangle_random_shapes():
+    rng = random.Random(6)
+    for _ in range(400):
+        m = generate_matrix(GenSpec(rng.randint(1, 40), rng.randint(1, 40),
+                                    rng.choice((0.5, 0.8, 0.9, 0.97, 1.0)),
+                                    rng.getrandbits(32)))
+        assert maximal_rectangle(m) == stack_rectangle(m)
+
+
+def test_beats_is_exact_on_every_small_histogram():
+    # _beats(lo=1, hi=hmax) says exactly whether some h * L(h) exceeds best
+    for cols in range(1, 7):
+        for counts in itertools.product(range(5), repeat=cols):
+            top = max(counts)
+            if not top:
+                continue
+            # column j is a one in the last counts[j] of `top` rows
+            planes = []
+            for level in range(top, 0, -1):
+                row = sum(1 << (cols - 1 - j) for j, c in enumerate(counts) if c >= level)
+                increment(planes, row)
+            assert max_height(planes, row) == top
+            largest = largest_rect_in_histogram(list(counts)).area
+            for best in range(largest + 2):
+                assert _beats(planes, row, 1, top, best) == (largest > best), (counts, best)

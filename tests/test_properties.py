@@ -1,5 +1,5 @@
-"""Property-based tests: text round trips, the bit-parallel kernel against
-the per-cell one, monotonicity in the ones, and the shape of every rendered
+"""Property-based tests: text round trips, the bit-parallel kernels against
+the per-cell ones, monotonicity in the ones, and the shape of every rendered
 benchmark table."""
 
 import pytest
@@ -18,7 +18,12 @@ from squarelab.grid import (
     serialize_matrix,
     serialize_volume,
 )
-from squarelab.histogram import maximal_rectangle
+from squarelab.histogram import (
+    RectResult,
+    build_histograms,
+    largest_rect_in_histogram,
+    maximal_rectangle,
+)
 from squarelab.squares import freq_bits, freq_square
 
 # the host's speed varies, so no per-example deadline
@@ -65,6 +70,33 @@ def test_volume_text_round_trip(v):
 @given(matrices(max_dim=70))
 def test_freq_bits_equals_freq_square(m):
     assert freq_bits(m) == freq_square(m)
+
+
+@st.composite
+def dense_matrices(draw, max_dim):
+    """Matrices of any density, so long runs and whole-row rectangles occur."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    cut = draw(st.integers(0, 256))
+    cells = draw(st.binary(min_size=rows * cols, max_size=rows * cols)
+                 .map(lambda raw: bytes(b < cut for b in raw)))
+    return BinaryMatrix(rows, cols, cells)
+
+
+def stack_rectangle(m):
+    """The stack on every row's histogram, kept on a strictly larger area."""
+    best = RectResult(0, 0, 0)
+    for heights in build_histograms(m):
+        candidate = largest_rect_in_histogram(heights)
+        if candidate.area > best.area:
+            best = candidate
+    return best
+
+
+@PROPERTY
+@given(dense_matrices(max_dim=40))
+def test_maximal_rectangle_equals_the_row_stack(m):
+    assert maximal_rectangle(m) == stack_rectangle(m)
 
 
 @PROPERTY
