@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from squarelab.bitplanes import at_least, has_run, heights, increment, max_height
+from squarelab.bitplanes import at_least, has_run, heights, increment, max_height, packed_rows
+from squarelab.grid import EMPTY_MATRIX, BinaryMatrix
 
 
 def planes_of(counts):
@@ -23,6 +24,13 @@ def counts_of(planes, cols):
 
 def mask_of(columns, cols):
     return sum(1 << (cols - 1 - j) for j in columns)
+
+
+def test_packed_rows_put_column_0_on_top():
+    m = BinaryMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    assert list(packed_rows(m)) == [0b100, 0b011, 0]
+    assert list(packed_rows(BinaryMatrix(3, 0, b""))) == []
+    assert list(packed_rows(EMPTY_MATRIX)) == []
 
 
 def test_increment_extends_runs_and_resets_under_zeros():
