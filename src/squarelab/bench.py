@@ -104,18 +104,6 @@ def trimmed_mean(samples: list[float] | tuple[float, ...], trim_fraction: float)
     return sum(kept) / len(kept)
 
 
-def _time_runs(
-    fn: Callable[[BinaryMatrix], SquareResult], matrix: BinaryMatrix, runs: int
-) -> tuple[float, ...]:
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn(matrix)
-        t1 = time.perf_counter()
-        times.append((t1 - t0) * 1000.0)
-    return tuple(times)
-
-
 def _bench_matrix(
     matrix: BinaryMatrix, config: BenchConfig, size: int, density: float,
     case: str | None = None,
@@ -126,16 +114,23 @@ def _bench_matrix(
         freq_square(matrix)
     baseline_result = baseline_fn(matrix)
     candidate_result = freq_square(matrix)
-    baseline_times = _time_runs(baseline_fn, matrix, config.runs)
-    candidate_times = _time_runs(freq_square, matrix, config.runs)
+    # alternate the two solvers so a drift in host speed hits both alike
+    baseline_times: list[float] = []
+    candidate_times: list[float] = []
+    for _ in range(config.runs):
+        for fn, times in ((baseline_fn, baseline_times), (freq_square, candidate_times)):
+            t0 = time.perf_counter()
+            fn(matrix)
+            t1 = time.perf_counter()
+            times.append((t1 - t0) * 1000.0)
     baseline_mean = trimmed_mean(baseline_times, config.trim_fraction)
     candidate_mean = trimmed_mean(candidate_times, config.trim_fraction)
     speedup = baseline_mean / candidate_mean if candidate_mean else float("inf")
     return BenchRecord(
         size=size,
         density=density,
-        baseline_times=baseline_times,
-        candidate_times=candidate_times,
+        baseline_times=tuple(baseline_times),
+        candidate_times=tuple(candidate_times),
         baseline_trimmed_mean=baseline_mean,
         candidate_trimmed_mean=candidate_mean,
         speedup=speedup,

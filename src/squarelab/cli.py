@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bench import (
+    BASELINES,
     PLOT_SIZE,
     TABLES,
     BenchConfig,
@@ -24,7 +25,6 @@ from .bench import (
     run_edge_cases,
     run_grid,
 )
-from .cubes import brute_force_cube, max_cube
 from .grid import (
     BinaryMatrix,
     GenSpec,
@@ -36,34 +36,16 @@ from .grid import (
     serialize_matrix,
     serialize_volume,
 )
-from .histogram import maximal_rectangle
-from .squares import (
-    SquareResult,
-    brute_force_square,
-    dp_full,
-    dp_rows,
-    freq_bits,
-    freq_square,
-)
-from .verify import (
-    EnumerationCapExceededError,
-    VerifyReport,
-    edge_case_suite,
-    exhaustive_sweep,
-    random_campaign,
-    render_mismatch_csv,
-    render_report,
-)
+from .squares import SquareResult, brute_force_square, freq_bits, freq_square
+
+BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
     "bits": freq_bits,
     "freq": freq_square,
-    "dp": dp_rows,
-    "dp2d": dp_full,
+    **{flag: BASELINES[name] for flag, name in BASELINE_FLAGS.items()},
     "brute": brute_force_square,
 }
-
-BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -169,6 +151,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import (
+        edge_case_suite,
+        exhaustive_sweep,
+        random_campaign,
+        render_mismatch_csv,
+        render_report,
+    )
+
     if args.exhaustive_max < 1:
         raise ValueError("--exhaustive-max must be positive")
     if args.random_count < 1:
@@ -221,6 +211,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
+    from .cubes import brute_force_cube, max_cube
+
     volume = parse_volume(_read_text(args.path))
     if args.algo == "freq":
         result = max_cube(volume)
@@ -231,6 +223,8 @@ def _cmd_cube(args: argparse.Namespace) -> int:
 
 
 def _cmd_rect(args: argparse.Namespace) -> int:
+    from .histogram import maximal_rectangle
+
     matrix = parse_matrix(_read_text(args.path))
     result = maximal_rectangle(matrix)
     print(f"area={result.area} h={result.height} w={result.width}")
@@ -260,9 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     except MatrixParseError as exc:
         line = f" (line {exc.line})" if exc.line else ""
         print(f"squarelab: parse error{line}: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationCapExceededError as exc:
-        print(f"squarelab: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so the flush at exit is silent

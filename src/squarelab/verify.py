@@ -26,6 +26,7 @@ from .grid import (
     generate_matrix,
     serialize_matrix,
 )
+from .histogram import build_histograms
 from .squares import (
     SquareResult,
     brute_force_square,
@@ -116,17 +117,14 @@ def _check_case(
 
 
 def _check_freq_state(case_id: str, matrix: BinaryMatrix, report: VerifyReport) -> None:
-    """Recompute column run lengths per row and compare to traced snapshots."""
+    """Compare the traced snapshots to the column run lengths per row."""
     _, snapshots = freq_square_traced(matrix)
-    runs = [0] * matrix.cols
-    for i, state in enumerate(snapshots):
-        row = matrix.row(i)
-        for j, cell in enumerate(row):
-            runs[j] = runs[j] + 1 if cell else 0
-        if state.freq != tuple(runs):
+    for i, (state, heights) in enumerate(zip(snapshots, build_histograms(matrix))):
+        runs = tuple(heights)
+        if state.freq != runs:
             report.invariant_failures.append(
                 InvariantFailure(
-                    case_id, i, f"freq {state.freq} != column runs {tuple(runs)}"
+                    case_id, i, f"freq {state.freq} != column runs {runs}"
                 )
             )
         if not (
