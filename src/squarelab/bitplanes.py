@@ -1,9 +1,13 @@
-"""Bit-sliced column counters on Python ints, shared by the row kernels.
+"""Bit-sliced counters on Python ints, shared by the row and layer kernels.
 
 A grid row is packed into one int, column 0 in the most significant of
-`cols` bits.  A per-column counter is a list of planes, least significant
-first: bit j of planes[k] is bit k of column j's count.  Each helper works on
-every column at once with a handful of big-int operations.
+`cols` bits.  A volume layer is packed into one int the same way, row 0 in
+the top bits, with a zero guard bit after every row: the row stride is
+`cols + 1`, so a shift by less than a stride never carries a run of ones
+from one row into the next.  A counter is a list of planes, least
+significant first: bit p of planes[k] is bit k of the count at position p.
+Each helper works on every position of a row or layer at once with a
+handful of big-int operations.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import sys
 from functools import lru_cache
 from typing import Iterator
 
-from .grid import _TO_TEXT, BinaryMatrix
+from .grid import _TO_TEXT, BinaryMatrix, BinaryVolume
 
 # native memoryview formats for 2-, 4- and 8-byte counts
 _LANE_CODES = {2: "H", 4: "I", 8: "Q"}
@@ -35,6 +39,28 @@ def packed_rows(m: BinaryMatrix) -> Iterator[int]:
         return
     for i in range(m.rows):
         yield int(cells[i * cols:(i + 1) * cols].translate(_TO_TEXT), 2)
+
+
+def packed_layers(v: BinaryVolume) -> Iterator[int]:
+    """Each layer of `v` as an int: row 0 in the top bits, column 0 on top
+    within its row, and a zero guard bit after every row (stride cols + 1).
+
+    The guard bits are laid in by slice copies over the whole volume, one
+    per column or one per row, whichever is fewer, so no loop runs once per
+    voxel.
+    """
+    cells, cols = v.cells, v.cols
+    lines, stride = v.depth * v.rows, cols + 1
+    bits = bytearray(lines * stride)
+    if cols <= lines:
+        for j in range(cols):
+            bits[j::stride] = cells[j::cols]
+    else:
+        for r in range(lines):
+            bits[r * stride:r * stride + cols] = cells[r * cols:(r + 1) * cols]
+    size = v.rows * stride
+    for d in range(v.depth):
+        yield int(bits[d * size:(d + 1) * size].translate(_TO_TEXT), 2)
 
 
 def increment(planes: list[int], row: int) -> None:
@@ -71,16 +97,18 @@ def at_least(planes: list[int], t: int, row: int) -> int:
     return gt | eq
 
 
-def has_run(mask: int, w: int) -> int:
-    """Nonzero iff `mask` has `w` (>= 1) consecutive set bits.
+def has_run(mask: int, w: int, unit: int = 1) -> int:
+    """Nonzero iff `mask` has a run of `w` (>= 1) set bits, `unit` apart.
 
-    About log2(w) shift-ANDs: after each, bit j is set iff bits j .. j +
-    width - 1 all were, and the width doubles until it reaches w.
+    About log2(w) shift-ANDs: after each, bit j is set iff bits j, j + unit,
+    .., j + (width - 1) * unit all were, and the width doubles until it
+    reaches w.  Unit 1 finds consecutive bits; a layer's row stride finds
+    the same column in consecutive rows.
     """
     width = 1
     while width < w and mask:
         step = min(width, w - width)
-        mask &= mask >> step
+        mask &= mask >> step * unit
         width += step
     return mask
 

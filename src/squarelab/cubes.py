@@ -1,18 +1,25 @@
 """Maximal k x k x k cube detection in binary volumes.
 
-A rolling depth-frequency matrix counts consecutive ones along the depth
-axis per (row, col).  A k x k window of values >= k at depth d certifies a
-cube of side k ending there, so each check reduces to a 2D maximal-square
-question on a thresholded matrix.  One sweep over the layers finds the
-largest side: a cube of side s ending at depth d contains one of side s-1
-ending at depth d-1, so the best side grows by at most one per layer, the
-same monotone argument the frequency solver uses for its thresholds.
+A depth-frequency matrix counts consecutive ones along the depth axis per
+(row, col).  A k x k window of counts >= k at depth d certifies a cube of
+side k ending there.  One sweep over the layers finds the largest side: a
+cube of side s ending at depth d contains one of side s-1 ending at depth
+d-1, so the best side grows by at most one per layer, the same monotone
+argument the frequency solver uses for its thresholds.
+
+max_cube runs that sweep on whole-layer bitboards: the counts are a
+bit-sliced counter over each packed layer, and the k x k window test is a
+row erosion followed by a column erosion of the thresholded mask.
+DepthFreqMatrix, depth_freq_update and exists_cube_at_depth do the same
+one voxel at a time; they are the reference max_cube is tested against,
+as freq_square is for freq_bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bitplanes import at_least, has_run, increment, packed_layers
 from .grid import BinaryMatrix, BinaryVolume
 from .squares import OracleCapExceededError, freq_bits
 
@@ -96,24 +103,35 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 
 
 def max_cube(v: BinaryVolume) -> CubeResult:
-    """Largest all-ones cube side in one sweep over the layers.
+    """Largest all-ones cube side in one sweep over whole-layer bitboards.
 
     A cube of side s ending at depth d contains a cube of side s-1 ending at
     depth d-1, so by induction best is at least s-1 once layer d-1 is
     applied.  The best side therefore grows by at most one per layer, and
-    after applying layer d the only side worth checking is best + 1.  Each
-    voxel is read exactly once: volume_visited == depth * rows * cols.
+    after applying layer d the only side worth checking is t = best + 1.
+
+    Each layer is one int with a guard bit after every row (see
+    bitplanes.packed_layers), and the depth runs are a bit-sliced counter
+    over it.  The positions whose run is at least t form a mask, and a t x t
+    window of them exists iff eroding the mask by t along rows (shift unit
+    1) and then by t along columns (shift unit cols + 1) leaves a bit set.
+    Both erosions take about log2(t) shift-ANDs.  Each voxel is read
+    exactly once, by the packing: volume_visited == depth * rows * cols.
+    DepthFreqMatrix, depth_freq_update and exists_cube_at_depth are the
+    per-voxel reference this sweep is tested against.
     """
-    f = DepthFreqMatrix(v.rows, v.cols)
-    layer_cells = v.rows * v.cols
+    limit, stride = min(v.rows, v.cols), v.cols + 1
+    planes: list[int] = []
     best = 0
-    visited = 0
-    for d in range(v.depth):
-        depth_freq_update(f, v.layer(d))
-        visited += layer_cells
-        if exists_cube_at_depth(f, best + 1):
-            best += 1
-    return CubeResult(best, visited)
+    for layer in packed_layers(v):
+        if best == limit:
+            break
+        increment(planes, layer)
+        t = best + 1
+        rows_ok = has_run(at_least(planes, t, layer), t)
+        if has_run(rows_ok, t, stride):
+            best = t
+    return CubeResult(best, v.depth * v.rows * v.cols)
 
 
 def brute_force_cube(v: BinaryVolume) -> CubeResult:

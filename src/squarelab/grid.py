@@ -135,6 +135,8 @@ class BinaryVolume:
         return self.cells[(d * self.rows + i) * self.cols + j]
 
     def layer(self, d: int) -> BinaryMatrix:
+        if not 0 <= d < self.depth:
+            raise IndexError(f"layer {d} out of range for depth {self.depth}")
         size = self.rows * self.cols
         return BinaryMatrix(self.rows, self.cols, self.cells[d * size:(d + 1) * size])
 

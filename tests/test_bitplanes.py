@@ -2,8 +2,23 @@ import random
 
 import pytest
 
-from squarelab.bitplanes import at_least, has_run, heights, increment, max_height, packed_rows
-from squarelab.grid import EMPTY_MATRIX, BinaryMatrix
+from squarelab.bitplanes import (
+    at_least,
+    has_run,
+    heights,
+    increment,
+    max_height,
+    packed_layers,
+    packed_rows,
+)
+from squarelab.grid import (
+    EMPTY_MATRIX,
+    EMPTY_VOLUME,
+    BinaryMatrix,
+    BinaryVolume,
+    GenSpec,
+    generate_volume,
+)
 
 
 def planes_of(counts):
@@ -31,6 +46,22 @@ def test_packed_rows_put_column_0_on_top():
     assert list(packed_rows(m)) == [0b100, 0b011, 0]
     assert list(packed_rows(BinaryMatrix(3, 0, b""))) == []
     assert list(packed_rows(EMPTY_MATRIX)) == []
+
+
+def test_packed_layers_end_every_row_with_a_guard_bit():
+    v = BinaryVolume.from_layers([BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]]),
+                                  BinaryMatrix.from_rows([[1, 1, 1], [1, 1, 1]])])
+    assert list(packed_layers(v)) == [0b1010_0110, 0b1110_1110]
+    assert list(packed_layers(EMPTY_VOLUME)) == []
+
+
+@pytest.mark.parametrize("depth, rows, cols", [(3, 4, 5), (2, 1, 9), (1, 1, 70), (9, 2, 1)])
+def test_packed_layers_match_the_row_text(depth, rows, cols):
+    # (1, 1, 70) and (2, 1, 9) have more columns than rows in the volume
+    v = generate_volume(GenSpec(rows, cols, 0.6, depth, depth=depth))
+    want = [int("".join(format(row, f"0{cols}b") + "0" for row in packed_rows(v.layer(d))), 2)
+            for d in range(depth)]
+    assert list(packed_layers(v)) == want
 
 
 def test_increment_extends_runs_and_resets_under_zeros():
@@ -90,6 +121,19 @@ def test_has_run_marks_where_each_run_starts():
     assert has_run(0b1111, 4) == 0b0001
     assert has_run(0b1111, 5) == 0
     assert has_run(0, 1) == 0
+
+
+def test_has_run_with_a_shift_unit_matches_a_bit_count():
+    # bit j survives iff bits j, j + unit, .., j + (w - 1) * unit are all set
+    rng = random.Random(5)
+    for unit in (2, 3, 8, 66):
+        for _ in range(30):
+            width = unit * rng.randint(1, 6) + rng.randrange(unit)
+            mask = rng.getrandbits(width) | rng.getrandbits(width)
+            for w in range(1, width // unit + 3):
+                want = sum(1 << j for j in range(width)
+                           if all(mask >> (j + k * unit) & 1 for k in range(w)))
+                assert has_run(mask, w, unit) == want, (mask, w, unit)
 
 
 def test_max_height_is_exact():

@@ -5,6 +5,7 @@ import pytest
 
 from squarelab.cubes import (
     CUBE_ORACLE_CELL_CAP,
+    CubeResult,
     DepthFreqMatrix,
     ShapeMismatchError,
     brute_force_cube,
@@ -116,14 +117,89 @@ def test_max_cube_embedded():
     assert max_cube(v).side == 2
 
 
-def test_all_2x2x2_volumes_agree():
-    for bits in itertools.product((0, 1), repeat=8):
-        layers = [
-            [[bits[0], bits[1]], [bits[2], bits[3]]],
-            [[bits[4], bits[5]], [bits[6], bits[7]]],
-        ]
-        v = volume_of(*layers)
+@pytest.mark.parametrize("depth, rows, cols", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)],
+                         ids=["2x2x2", "2x2x3", "2x3x2", "3x2x2"])
+def test_every_small_volume_agrees(depth, rows, cols):
+    for bits in itertools.product((0, 1), repeat=depth * rows * cols):
+        v = BinaryVolume(depth, rows, cols, bytes(bits))
+        assert max_cube(v).side == brute_force_cube(v).side, bits
+
+
+def reference_sweep(v):
+    """The per-voxel sweep: one exists_cube_at_depth test per layer at best + 1."""
+    f = DepthFreqMatrix(v.rows, v.cols)
+    best = 0
+    for d in range(v.depth):
+        depth_freq_update(f, v.layer(d))
+        if exists_cube_at_depth(f, best + 1):
+            best += 1
+    return best
+
+
+def test_runs_do_not_cross_row_ends():
+    # rows 0 and 1 end in a one that rows 1 and 2 start with: read as one
+    # stream of bits, the layer holds a 2x2 square that is not in the grid
+    layer = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
+    v = volume_of(layer, layer)
+    assert max_cube(v).side == brute_force_cube(v).side == 1
+    # the same across two-column row ends makes a false 3x3 next to a true 2x2
+    wide = [[0] * 6 + [1] * 2] + [[1] + [0] * 5 + [1] * 2] * 2 + [[1] + [0] * 7]
+    v = volume_of(wide, wide, wide)
+    assert max_cube(v).side == brute_force_cube(v).side == 2
+
+
+@pytest.mark.parametrize("depth, rows, cols", [
+    (6, 6, 1), (6, 1, 6), (1, 6, 6), (1, 1, 40), (40, 1, 1), (3, 1, 1)])
+def test_single_row_or_column_volumes(depth, rows, cols):
+    ones = BinaryVolume(depth, rows, cols, b"\x01" * (depth * rows * cols))
+    assert max_cube(ones).side == 1
+    rng = random.Random(depth * 100 + rows * 10 + cols)
+    for _ in range(20):
+        v = generate_volume(GenSpec(rows, cols, rng.random(), rng.getrandbits(32),
+                                    depth=depth))
         assert max_cube(v).side == brute_force_cube(v).side
+
+
+@pytest.mark.parametrize("cols", [63, 64, 65])
+def test_word_edge_widths(cols):
+    rng = random.Random(cols)
+    for _ in range(25):
+        spec = GenSpec(rng.randint(1, 4), cols, rng.choice((0.8, 0.95, 1.0)),
+                       rng.getrandbits(32), depth=rng.randint(1, 4))
+        v = generate_volume(spec)
+        assert max_cube(v).side == brute_force_cube(v).side == reference_sweep(v)
+
+
+def test_all_ones_cubes():
+    for n in range(1, 13):
+        v = BinaryVolume(n, n, n, b"\x01" * n**3)
+        assert max_cube(v) == CubeResult(n, n**3)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_depth_is_the_limit(depth):
+    v = BinaryVolume(depth, 9, 11, b"\x01" * (depth * 99))
+    assert max_cube(v).side == depth
+    # one zero voxel per layer, each in a different corner, still leaves room
+    corners = (0, 10, 88, 98)
+    cells = bytearray(v.cells)
+    for d in range(depth):
+        cells[d * 99 + corners[d % 4]] = 0
+    v = BinaryVolume(depth, 9, 11, bytes(cells))
+    assert max_cube(v).side == reference_sweep(v) == depth
+
+
+@pytest.mark.parametrize("depth, rows, cols, density",
+                         [(40, 40, 40, 0.97), (120, 40, 40, 0.93)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_agrees_with_the_per_voxel_sweep_past_the_brute_cap(depth, rows, cols,
+                                                           density, seed):
+    v = generate_volume(GenSpec(rows, cols, density, seed, depth=depth))
+    assert depth * rows * cols > CUBE_ORACLE_CELL_CAP
+    result = max_cube(v)
+    assert result.side == reference_sweep(v)
+    assert result.side > 1
+    assert result.volume_visited == depth * rows * cols
 
 
 def test_seeded_volumes_agree():

@@ -101,6 +101,14 @@ def test_volume_from_layers():
     assert v.layer(1) == b
 
 
+@pytest.mark.parametrize("d", [4, 5, -1, -4])
+def test_volume_layer_index_must_be_in_range(d):
+    v = BinaryVolume(4, 3, 3, bytes(36))
+    with pytest.raises(IndexError, match="depth 4"):
+        v.layer(d)
+    assert v.layer(3) == BinaryMatrix(3, 3, bytes(9))
+
+
 def test_volume_layer_shape_must_match():
     a = BinaryMatrix.from_rows([[1, 0]])
     b = BinaryMatrix.from_rows([[1], [0]])

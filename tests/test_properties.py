@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
+from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
 from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
@@ -72,15 +73,26 @@ def test_freq_bits_equals_freq_square(m):
     assert freq_bits(m) == freq_square(m)
 
 
+def dense_cells(draw, n):
+    """n cells at a drawn density from all zeros to all ones."""
+    cut = draw(st.integers(0, 256))
+    return draw(st.binary(min_size=n, max_size=n)
+                .map(lambda raw: bytes(b < cut for b in raw)))
+
+
 @st.composite
 def dense_matrices(draw, max_dim):
     """Matrices of any density, so long runs and whole-row rectangles occur."""
     rows = draw(st.integers(1, max_dim))
     cols = draw(st.integers(1, max_dim))
-    cut = draw(st.integers(0, 256))
-    cells = draw(st.binary(min_size=rows * cols, max_size=rows * cols)
-                 .map(lambda raw: bytes(b < cut for b in raw)))
-    return BinaryMatrix(rows, cols, cells)
+    return BinaryMatrix(rows, cols, dense_cells(draw, rows * cols))
+
+
+@st.composite
+def dense_volumes(draw, max_dim):
+    """Volumes of any density, so cubes larger than side 1 occur."""
+    depth, rows, cols = (draw(st.integers(1, max_dim)) for _ in range(3))
+    return BinaryVolume(depth, rows, cols, dense_cells(draw, depth * rows * cols))
 
 
 def stack_rectangle(m):
@@ -97,6 +109,13 @@ def stack_rectangle(m):
 @given(dense_matrices(max_dim=40))
 def test_maximal_rectangle_equals_the_row_stack(m):
     assert maximal_rectangle(m) == stack_rectangle(m)
+
+
+@PROPERTY
+@given(dense_volumes(max_dim=9))
+def test_max_cube_equals_the_brute_force_oracle(v):
+    assert v.depth * v.rows * v.cols <= CUBE_ORACLE_CELL_CAP
+    assert max_cube(v).side == brute_force_cube(v).side
 
 
 @PROPERTY
