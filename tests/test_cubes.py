@@ -150,7 +150,7 @@ def test_runs_do_not_cross_row_ends():
 
 @pytest.mark.parametrize("depth, rows, cols", [
     (6, 6, 1), (6, 1, 6), (1, 6, 6), (1, 1, 40), (40, 1, 1), (3, 1, 1)])
-def test_single_row_or_column_volumes(depth, rows, cols):
+def test_volumes_one_voxel_thick(depth, rows, cols):
     ones = BinaryVolume(depth, rows, cols, b"\x01" * (depth * rows * cols))
     assert max_cube(ones).side == 1
     rng = random.Random(depth * 100 + rows * 10 + cols)
