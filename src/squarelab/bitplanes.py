@@ -45,19 +45,14 @@ def packed_layers(v: BinaryVolume) -> Iterator[int]:
     """Each layer of `v` as an int: row 0 in the top bits, column 0 on top
     within its row, and a zero guard bit after every row (stride cols + 1).
 
-    The guard bits are laid in by slice copies over the whole volume, one
-    per column or one per row, whichever is fewer, so no loop runs once per
-    voxel.
+    The guard bits are laid in by one strided slice copy per column over
+    the whole volume, so no loop runs once per voxel.
     """
     cells, cols = v.cells, v.cols
     lines, stride = v.depth * v.rows, cols + 1
     bits = bytearray(lines * stride)
-    if cols <= lines:
-        for j in range(cols):
-            bits[j::stride] = cells[j::cols]
-    else:
-        for r in range(lines):
-            bits[r * stride:r * stride + cols] = cells[r * cols:(r + 1) * cols]
+    for j in range(cols):
+        bits[j::stride] = cells[j::cols]
     size = v.rows * stride
     for d in range(v.depth):
         yield int(bits[d * size:(d + 1) * size].translate(_TO_TEXT), 2)

@@ -57,7 +57,7 @@ def test_packed_layers_end_every_row_with_a_guard_bit():
 
 @pytest.mark.parametrize("depth, rows, cols", [(3, 4, 5), (2, 1, 9), (1, 1, 70), (9, 2, 1)])
 def test_packed_layers_match_the_row_text(depth, rows, cols):
-    # (1, 1, 70) and (2, 1, 9) have more columns than rows in the volume
+    # (1, 1, 70) and (2, 1, 9) are wider than the volume has rows
     v = generate_volume(GenSpec(rows, cols, 0.6, depth, depth=depth))
     want = [int("".join(format(row, f"0{cols}b") + "0" for row in packed_rows(v.layer(d))), 2)
             for d in range(depth)]
