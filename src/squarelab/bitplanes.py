@@ -7,26 +7,19 @@ the top bits, with a zero guard bit after every row: the row stride is
 from one row into the next.  A counter is a list of planes, least
 significant first: bit p of planes[k] is bit k of the count at position p.
 Each helper works on every position of a row or layer at once with a
-handful of big-int operations.
+handful of big-int operations, and `heights` reads a counter back out
+with one bytes spread and one shifted OR per plane.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 from typing import Iterator
 
-from .grid import _TO_TEXT, BinaryMatrix, BinaryVolume
+from .grid import _TO_BITS, _TO_TEXT, BinaryMatrix, BinaryVolume
 
-# native memoryview formats for 2-, 4- and 8-byte counts
-_LANE_CODES = {2: "H", 4: "I", 8: "Q"}
-_LITTLE = sys.byteorder == "little"
-# an 8x8 bit transpose of a 64-bit block, row 0 in the top byte
-_TRANSPOSE_STEPS = (
-    (7, 0x00AA00AA00AA00AA),
-    (14, 0x0000CCCC0000CCCC),
-    (28, 0x00000000F0F0F0F0),
-)
+# native memoryview formats for 1-, 2-, 4- and 8-byte counts
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def packed_rows(m: BinaryMatrix) -> Iterator[int]:
@@ -123,44 +116,22 @@ def max_height(planes: list[int], row: int) -> int:
     return h
 
 
-@lru_cache(maxsize=16)
-def _transpose_masks(nbytes: int) -> tuple[tuple[int, int], ...]:
-    """The 8x8 transpose's (shift, mask) steps, the mask repeated over
-    `nbytes` 64-bit blocks."""
-    return tuple(
-        (shift, int.from_bytes(mask.to_bytes(8, "big") * nbytes, "big"))
-        for shift, mask in _TRANSPOSE_STEPS
-    )
-
-
 def heights(planes: list[int], cols: int) -> list[int]:
     """Every column's count as a list, column 0 first.
 
-    Each group of 8 planes is one bit-matrix transpose: byte b of plane k
-    (8 columns) goes to byte 7 - k of a 64-bit block, and three masked
-    delta swaps (Hacker's Delight, 7-3) transpose every block at once, so
-    each column ends up as one byte lane holding its count's 8 bits.  More
-    than 8 planes take several groups, whose bytes are interleaved into
-    2-, 4- or 8-byte native-order lanes.  Every step is a big-int or bytes
-    operation; nothing loops over columns in Python.
+    Each column is one lane of the smallest native width (1, 2, 4 or 8
+    bytes) that holds len(planes) bits.  Plane k's bits are spread one per
+    lane, at the lane's low byte, and the lanes read as one native-order
+    int are ORed in shifted by k, which sets bit k of every lane at once.
+    Every step is a big-int or bytes operation; nothing loops over columns
+    in Python.
     """
-    nbytes = (cols + 7) // 8
-    pad = 8 * nbytes - cols  # the packed row is right-aligned in its bytes
-    masks = _transpose_masks(nbytes)
-    groups = []
-    for base in range(0, len(planes), 8):
-        block = bytearray(8 * nbytes)
-        for k in range(base, min(base + 8, len(planes))):
-            block[7 - (k - base)::8] = planes[k].to_bytes(nbytes, "big")
-        x = int.from_bytes(block, "big")
-        for shift, mask in masks:
-            t = (x ^ (x >> shift)) & mask
-            x ^= t ^ (t << shift)
-        groups.append(x.to_bytes(8 * nbytes, "big")[pad:])
-    if len(groups) <= 1:
-        return list(groups[0]) if groups else [0] * cols
-    size = next(s for s in (2, 4, 8) if s >= len(groups))
+    size = next(s for s in (1, 2, 4, 8) if 8 * s >= len(planes))
     lanes = bytearray(cols * size)
-    for g, group in enumerate(groups):
-        lanes[(g if _LITTLE else size - 1 - g)::size] = group
+    low = 0 if sys.byteorder == "little" else size - 1
+    counts = 0
+    for k, plane in enumerate(planes):
+        lanes[low::size] = format(plane, f"0{cols}b").encode().translate(_TO_BITS)
+        counts |= int.from_bytes(lanes, sys.byteorder) << k
+    lanes = counts.to_bytes(cols * size, sys.byteorder)
     return memoryview(lanes).cast(_LANE_CODES[size]).tolist()

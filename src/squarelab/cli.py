@@ -51,11 +51,14 @@ DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def _read_text(path: str | None) -> str:
+    # stdin and files are both read as bytes and decoded one way, whatever the
+    # locale, so a '\r' or a non-ASCII byte reaches the parser and fails there
+    # with its line number
     if path is None or path == "-":
-        return sys.stdin.read()
-    # bytes decoded as stdin is, so a '\r' or a non-ASCII byte reaches the
-    # parser and fails there with its line number
-    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
+        data = sys.stdin.buffer.read()
+    else:
+        data = Path(path).read_bytes()
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -90,25 +90,19 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     The column heights are a bit-sliced counter (see `bitplanes`).  A row
     goes to the histogram stack only when it may hold a rectangle larger
     than the best so far: when hmax * cols <= best it is skipped, and
-    otherwise `_beats` certifies it on the planes.  The row after one that
-    raised the best goes straight to the stack, since such rows usually
-    raise it again.  A skipped or certified row has no stack pop above the
-    best, and a stack row runs the same sweep on the same heights, so the
-    result, ties included, is the stack's on every row.
+    otherwise `_beats` certifies it on the planes.  A skipped or certified
+    row has no stack pop above the best.  `_beats` passes a row only when
+    it holds a rectangle above the best, so the stack's answer on that row
+    replaces the best, and the result, ties included, is the stack's on
+    every row.
     """
     cols = m.cols
     best = RectResult(0, 0, 0)
     planes: list[int] = []
-    raised = False
     for row in packed_rows(m):
         increment(planes, row)
-        if not raised:
-            lo = best.area // cols + 1
-            hmax = max_height(planes, row)
-            if lo > hmax or not _beats(planes, row, lo, hmax, best.area):
-                continue
-        candidate = largest_rect_in_histogram(column_heights(planes, cols))
-        raised = candidate.area > best.area
-        if raised:
-            best = candidate
+        lo = best.area // cols + 1
+        hmax = max_height(planes, row)
+        if lo <= hmax and _beats(planes, row, lo, hmax, best.area):
+            best = largest_rect_in_histogram(column_heights(planes, cols))
     return best

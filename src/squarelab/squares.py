@@ -156,8 +156,6 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     64-bit words.
     """
     rows, cols = m.rows, m.cols
-    if rows == 0 or cols == 0:
-        return SquareResult(0, 0, 0)
     words = (cols + 63) // 64
     if audit is not None:
         audit.add(words)  # the packed row

@@ -47,7 +47,7 @@ def test_solve_empty_file(tmp_path, capsys):
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("11\n11\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"11\n11\n")))
     code, out, _ = run(capsys, "solve")
     assert code == 0
     assert out == "side=2 area=4\n"
@@ -90,20 +90,34 @@ def test_non_ascii_file_names_line(tmp_path, capsys, command, data, line, char):
     assert err == f"squarelab: parse error (line {line}): invalid character '{char}' at line {line}\n"
 
 
-def test_non_ascii_file_fails_as_stdin(tmp_path):
-    data = b"10\n1\xc3\xa9\n1\xff\n"
+def solve_file_and_stdin(tmp_path, data, io_encoding=None):
+    """`squarelab solve` run on `data` as a file and on stdin, in that order."""
     path = tmp_path / "m.txt"
     path.write_bytes(data)
-    # pin how stdin decodes, which otherwise follows the locale
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(squarelab.__file__).parent.parent),
-               PYTHONIOENCODING="utf-8:surrogateescape")
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    if io_encoding is not None:
+        env["PYTHONIOENCODING"] = io_encoding
     argv = [sys.executable, "-m", "squarelab", "solve"]
-    from_file = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60)
-    from_stdin = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+    return (subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60),
+            subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60))
+
+
+def test_non_ascii_file_fails_as_stdin(tmp_path):
+    from_file, from_stdin = solve_file_and_stdin(tmp_path, b"10\n1\xc3\xa9\n1\xff\n")
     assert from_file.returncode == from_stdin.returncode == 2
     assert from_file.stderr == from_stdin.stderr
     assert b"(line 2): invalid character" in from_file.stderr
+
+
+@pytest.mark.parametrize("io_encoding", ["utf-8:strict", "latin-1"])
+@pytest.mark.parametrize("data", [b"10\n1\xff\n", "10\n1\u00e9\n".encode()],
+                         ids=["invalid-utf8", "utf8"])
+def test_stdin_decoding_ignores_the_io_encoding(tmp_path, io_encoding, data):
+    # stdin is decoded as files are, not by PYTHONIOENCODING or the locale
+    from_file, from_stdin = solve_file_and_stdin(tmp_path, data, io_encoding)
+    assert from_file.returncode == from_stdin.returncode == 2
+    assert from_file.stderr == from_stdin.stderr
+    assert b"parse error (line 2): invalid character" in from_stdin.stderr
 
 
 @pytest.mark.parametrize("command, text", [
@@ -111,7 +125,7 @@ def test_non_ascii_file_fails_as_stdin(tmp_path):
     ("rect", "10\n01\n\n01\n11\n"),  # a volume is not a matrix
 ], ids=["solve", "rect-on-volume"])
 def test_blank_line_in_matrix_is_named(capsys, monkeypatch, command, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     code, out, err = run(capsys, command)
     assert code == 2
     assert out == ""
@@ -296,7 +310,7 @@ def test_bench_baseline_flag(capsys):
 
 
 def test_cube_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("11\n11\n\n11\n11\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"11\n11\n\n11\n11\n")))
     code, out, _ = run(capsys, "cube")
     assert code == 0
     assert out == "side=2\n"

@@ -287,6 +287,9 @@ def test_freq_bits_constant_and_degenerate_shapes():
     assert freq_bits(BinaryMatrix(1000, 1, ones * 1000)).side == 1
     assert freq_bits(zeros(300, 300)).side == 0
     assert freq_bits(EMPTY_MATRIX) == SquareResult(0, 0, 0)
+    audit = AllocationAudit()
+    assert freq_bits(BinaryMatrix(3, 0, b""), audit=audit) == SquareResult(0, 0, 0)
+    assert audit.peak_elements == 0
 
 
 @pytest.mark.parametrize("rows, cols, density", [
