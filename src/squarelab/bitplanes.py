@@ -1,10 +1,12 @@
 """Bit-sliced counters on Python ints, shared by the row and layer kernels.
 
 A grid row is packed into one int, column 0 in the most significant of
-`cols` bits.  A volume layer is packed into one int the same way, row 0 in
-the top bits, with a zero guard bit after every row: the row stride is
-`cols + 1`, so a shift by less than a stride never carries a run of ones
-from one row into the next.  A counter is a list of planes, least
+`cols` bits.  A grid column is packed the same way, row 0 on top, and the
+helpers below take it as a row whose columns are the grid's rows.  A
+volume layer is packed into one int the same way, row 0 in the top bits,
+with a zero guard bit after every row: the row stride is `cols + 1`, so a
+shift by less than a stride never carries a run of ones from one row into
+the next.  A counter is a list of planes, least
 significant first: bit p of planes[k] is bit k of the count at position p.
 Each helper works on every position of a row or layer at once with a
 handful of big-int operations, and `heights` reads a counter back out
@@ -32,6 +34,17 @@ def packed_rows(m: BinaryMatrix) -> Iterator[int]:
         return
     for i in range(m.rows):
         yield int(cells[i * cols:(i + 1) * cols].translate(_TO_TEXT), 2)
+
+
+def packed_columns(m: BinaryMatrix) -> Iterator[int]:
+    """Each column of `m` as an int, row 0 in the most significant bit.
+
+    One strided slice of the cells per column, so no transposed copy of
+    the cells is ever made.
+    """
+    cols, cells = m.cols, m.cells
+    for j in range(cols):
+        yield int(cells[j::cols].translate(_TO_TEXT), 2)
 
 
 def packed_layers(v: BinaryVolume) -> Iterator[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isqrt
 from pathlib import Path
 from typing import Callable
 
@@ -36,9 +37,19 @@ from .grid import (
     serialize_matrix,
     serialize_volume,
 )
-from .squares import SquareResult, brute_force_square, freq_bits, freq_square
+from .squares import (
+    ORACLE_CELL_CAP,
+    SquareResult,
+    brute_force_square,
+    freq_bits,
+    freq_square,
+)
 
 BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
+
+# `solve --algo dp2d` builds a rows x cols table of ints; this is the size of
+# bench's largest grid and of the paper's tables
+DP2D_CELL_CAP = 1_000_000
 
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
     "bits": freq_bits,
@@ -135,6 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     matrix = parse_matrix(_read_text(args.path))
+    cells = matrix.rows * matrix.cols
+    if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
+        raise ValueError(
+            f"{matrix.rows}x{matrix.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
     result = SOLVE_ALGOS[args.algo](matrix)
     print(f"side={result.side} area={result.area}")
     return 0
@@ -168,6 +183,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--random-count must be positive")
     if args.max_dim < 1:
         raise ValueError("--max-dim must be positive")
+    if args.max_dim ** 2 > ORACLE_CELL_CAP:
+        raise ValueError(
+            f"--max-dim {args.max_dim} allows {args.max_dim}x{args.max_dim} cases, "
+            f"over the oracle cap of {ORACLE_CELL_CAP} cells "
+            f"(--max-dim {isqrt(ORACLE_CELL_CAP)} at most)")
     sections = [
         ("exhaustive", exhaustive_sweep(args.exhaustive_max, args.exhaustive_max)),
         ("random", random_campaign(args.random_count, args.max_dim,

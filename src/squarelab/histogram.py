@@ -2,17 +2,24 @@
 
 Per row, the column heights form a histogram, and a linear monotonic-stack
 sweep finds the largest rectangle under it.  `maximal_rectangle` keeps the
-heights as a bit-sliced counter and runs the stack only on rows that a
-shift-AND certificate cannot rule out.  Serves as the comparison point for
-the square solvers (every square is a rectangle).
+heights as a bit-sliced counter and runs the stack only on lines that a
+shift-AND certificate cannot rule out.  It sweeps the shorter axis: the
+rows of a wide or square matrix, the columns of a tall one, whose counter
+then holds each row's run of ones to the left.  Each line costs a fixed
+number of Python steps, and a longer line only makes the big ints wider.
+After a column sweep one more pass over the columns finds the row on
+which the row sweep would have met the largest area, so the answer,
+ties included, is the row-wise stack's.  Serves as the comparison point
+for the square solvers (every square is a rectangle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable
 
-from .bitplanes import at_least, has_run, increment, max_height, packed_rows
+from .bitplanes import at_least, has_run, increment, max_height, packed_columns, packed_rows
 from .bitplanes import heights as column_heights
 from .grid import BinaryMatrix
 
@@ -59,50 +66,103 @@ def largest_rect_in_histogram(heights: Histogram) -> RectResult:
     return best
 
 
-def _beats(planes: list[int], row: int, lo: int, hi: int, best: int) -> bool:
-    """Whether some rectangle ending on this row, of height in [lo, hi], has
+def _beats(planes: list[int], line: int, lo: int, hi: int, best: int) -> bool:
+    """Whether some rectangle ending on this line, of height in [lo, hi], has
     area above `best`.
 
-    L(h), the longest run of columns with height at least h, never grows as
-    h grows.  So when the mask at_least(a) has no run of best // b + 1
-    columns, every h in [a, b] gives h * L(h) <= b * L(a) <= best, and the
-    interval is certified with one comparison and a few shift-ANDs.  An
+    L(h), the longest run of positions with height at least h, never grows
+    as h grows.  So when the mask at_least(a) has no run of best // b + 1
+    positions, every h in [a, b] gives h * L(h) <= b * L(a) <= best, and
+    the interval is certified with one comparison and a few shift-ANDs.  An
     interval that fails is split at its geometric mean, since the bound is
     loose by the factor b / a; a single height h that fails holds a
-    rectangle h * (best // h + 1) > best.
+    rectangle h * (best // h + 1) > best.  The intervals never overlap, so
+    the only mask two of them share is a left half's, at its parent's a,
+    and it rides along on the stack instead of being computed again.
     """
-    pending = [(lo, hi)]
+    pending: list[tuple[int, int, int | None]] = [(lo, hi, None)]
     while pending:
-        a, b = pending.pop()
-        if not has_run(at_least(planes, a, row), best // b + 1):
+        a, b, mask = pending.pop()
+        if mask is None:
+            mask = at_least(planes, a, line)
+        if not has_run(mask, best // b + 1):
             continue
         if a == b:
             return True
         mid = isqrt(a * b)  # a <= mid < b, and b / a shrinks evenly on both sides
-        pending.append((a, mid))
-        pending.append((mid + 1, b))
+        pending.append((a, mid, mask))
+        pending.append((mid + 1, b, None))
     return False
 
 
-def maximal_rectangle(m: BinaryMatrix) -> RectResult:
-    """Largest all-ones rectangle: best histogram rectangle over all rows.
+def _sweep(lines: Iterable[int], n: int) -> RectResult:
+    """The row-wise stack's answer over packed lines of n bits, line 0 first.
 
-    The column heights are a bit-sliced counter (see `bitplanes`).  A row
-    goes to the histogram stack only when it may hold a rectangle larger
-    than the best so far: when hmax * cols <= best it is skipped, and
-    otherwise `_beats` certifies it on the planes.  A skipped or certified
-    row has no stack pop above the best.  `_beats` passes a row only when
-    it holds a rectangle above the best, so the stack's answer on that row
-    replaces the best, and the result, ties included, is the stack's on
-    every row.
+    The heights are a bit-sliced counter (see `bitplanes`).  A line goes to
+    the histogram stack only when it may hold a rectangle larger than the
+    best so far: when hmax * n <= best it is skipped, and otherwise
+    `_beats` certifies it on the planes.  A skipped or certified line has no
+    stack pop above the best.  `_beats` passes a line only when it holds a
+    rectangle above the best, so the stack's answer on that line replaces
+    the best, and the result, ties included, is the stack's on every line.
     """
-    cols = m.cols
     best = RectResult(0, 0, 0)
     planes: list[int] = []
-    for row in packed_rows(m):
-        increment(planes, row)
-        lo = best.area // cols + 1
-        hmax = max_height(planes, row)
-        if lo <= hmax and _beats(planes, row, lo, hmax, best.area):
-            best = largest_rect_in_histogram(column_heights(planes, cols))
+    for line in lines:
+        increment(planes, line)
+        lo = best.area // n + 1
+        hmax = max_height(planes, line)
+        if lo <= hmax and _beats(planes, line, lo, hmax, best.area):
+            best = largest_rect_in_histogram(column_heights(planes, n))
     return best
+
+
+def _first_bottom_row(columns: list[int], rows: int, area: int) -> int:
+    """The smallest bottom row over all all-ones rectangles of `area` cells.
+
+    `columns` are the packed columns (see `bitplanes.packed_columns`).  A
+    counter over them holds each row's run of ones ending at the current
+    column.  For each shape h x w of the area that fits, at_least(w) marks
+    the rows whose run reaches w, and has_run(.., h) keeps bit p when the h
+    rows ending at row rows - 1 - p are all marked: an h x w rectangle with
+    that bottom row ends at this column.  The highest bit left is the
+    smallest such row.
+    """
+    shapes = [(area // w, w) for w in range(1, len(columns) + 1)
+              if area % w == 0 and area // w <= rows]
+    first = rows
+    planes: list[int] = []
+    for col in columns:
+        increment(planes, col)
+        for h, w in shapes:
+            bottoms = has_run(at_least(planes, w, col), h)
+            if bottoms:
+                first = min(first, rows - bottoms.bit_length())
+    return first
+
+
+def maximal_rectangle(m: BinaryMatrix) -> RectResult:
+    """Largest all-ones rectangle: the stack's answer, row by row, keeping
+    the first strictly larger area.
+
+    A matrix with rows <= cols is swept row by row (`_sweep`).  A taller
+    one is swept column by column, which costs fewer Python steps and
+    gives the largest area A, but not the row-wise tie-break.  That answer
+    is the stack's on the first row i* whose histogram holds area A: every
+    earlier row holds less, and no later row replaces an equal area.  The
+    largest rectangle under row i's histogram is the largest all-ones
+    rectangle with bottom row i, so i* is the smallest bottom row of any
+    rectangle of area A (`_first_bottom_row`).  Row i*'s heights are read
+    with one `rfind` per column and go through the same stack.
+    """
+    rows, cols = m.rows, m.cols
+    if rows <= cols:
+        return _sweep(packed_rows(m), cols)
+    columns = list(packed_columns(m))  # rows * cols bits, read twice
+    best = _sweep(columns, rows)
+    if not best.area:
+        return best
+    i = _first_bottom_row(columns, rows, best.area)
+    cells = m.cells
+    return largest_rect_in_histogram(
+        [i - cells[j:(i + 1) * cols:cols].rfind(0) for j in range(cols)])

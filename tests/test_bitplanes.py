@@ -8,6 +8,7 @@ from squarelab.bitplanes import (
     heights,
     increment,
     max_height,
+    packed_columns,
     packed_layers,
     packed_rows,
 )
@@ -17,6 +18,7 @@ from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
     GenSpec,
+    generate_matrix,
     generate_volume,
 )
 
@@ -46,6 +48,23 @@ def test_packed_rows_put_column_0_on_top():
     assert list(packed_rows(m)) == [0b100, 0b011, 0]
     assert list(packed_rows(BinaryMatrix(3, 0, b""))) == []
     assert list(packed_rows(EMPTY_MATRIX)) == []
+
+
+def test_packed_columns_put_row_0_on_top():
+    m = BinaryMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 1, 0]])
+    assert list(packed_columns(m)) == [0b1001, 0b0101, 0b0110]
+    assert list(packed_columns(BinaryMatrix(3, 0, b""))) == []
+    assert list(packed_columns(EMPTY_MATRIX)) == []
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (1, 1), (1, 9), (9, 1), (63, 5), (64, 5), (65, 5), (65, 1), (200, 3),
+])
+def test_packed_columns_match_each_columns_text(rows, cols):
+    m = generate_matrix(GenSpec(rows, cols, 0.6, rows * cols))
+    text = m.to_rows()
+    want = [int("".join(str(text[i][j]) for i in range(rows)), 2) for j in range(cols)]
+    assert list(packed_columns(m)) == want
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():

@@ -225,6 +225,37 @@ def test_verify_cap_exceeded_is_usage_error(capsys):
     assert "enumerations" in err
 
 
+@pytest.mark.parametrize("max_dim", ["101", "150"])
+def test_verify_max_dim_over_the_oracle_cap_fails_up_front(capsys, monkeypatch, max_dim):
+    import squarelab.verify
+
+    def no_campaign(*args, **kwargs):
+        pytest.fail("a campaign ran")
+
+    for name in ("exhaustive_sweep", "random_campaign", "edge_case_suite"):
+        monkeypatch.setattr(squarelab.verify, name, no_campaign)
+    code, out, err = run(capsys, "verify", "--max-dim", max_dim)
+    assert code == 2
+    assert out == ""
+    assert f"--max-dim {max_dim}" in err and "10000" in err
+
+
+def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DP2D_CELL_CAP", 9)
+    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", lambda m: pytest.fail("dp2d ran"))
+    path = tmp_path / "m.txt"
+    path.write_text("1111\n1111\n1111\n")
+    code, out, err = run(capsys, "solve", str(path), "--algo", "dp2d")
+    assert code == 2 and out == ""
+    assert err == "squarelab: 3x4 = 12 cells exceeds dp2d cap 9\n"
+    code, out, _ = run(capsys, "solve", str(path), "--algo", "bits")
+    assert (code, out) == (0, "side=3 area=9\n")
+    monkeypatch.setattr(cli, "DP2D_CELL_CAP", 12)
+    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", cli.BASELINES["dp_full"])
+    code, out, _ = run(capsys, "solve", str(path), "--algo", "dp2d")
+    assert (code, out) == (0, "side=3 area=9\n")
+
+
 def test_verify_rejects_nonpositive_flags(capsys):
     code, _, _ = run(capsys, "verify", "--exhaustive-max", "0")
     assert code == 2

@@ -170,6 +170,44 @@ def test_maximal_rectangle_keeps_the_stacks_tie_break():
     assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(6, 1, 6)
 
 
+def test_tall_ties_go_to_the_earliest_bottom_row():
+    # 8x4: a 4x1 bar in column 0 ends on row 7 and is met first in column
+    # order; a 2x2 block in columns 2-3 ends on row 1, so the rows meet it first
+    m = BinaryMatrix.from_rows([[0, 0, 1, 1]] * 2 + [[0, 0, 0, 0]] * 2 + [[1, 0, 0, 0]] * 4)
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(4, 2, 2)
+    # the reverse: the block ends on row 7 and the bar on row 3
+    m = BinaryMatrix.from_rows([[0, 0, 0, 1]] * 4 + [[0, 0, 0, 0]] * 2 + [[1, 1, 0, 0]] * 2)
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(4, 4, 1)
+    # row 2's histogram [3, 3, 1, 1, 1, 1] holds 3x2 and 1x6: the stack pops 3x2 first
+    m = BinaryMatrix.from_rows([[1, 1, 0, 0, 0, 0]] * 2 + [[1] * 6] + [[0] * 6] * 5)
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(6, 3, 2)
+    # a 1x6 on row 4 and a 2x3 ending on row 1: the 2x3 sits in later columns
+    m = BinaryMatrix.from_rows([[0, 0, 0, 1, 1, 1]] * 2 + [[0] * 6] * 2 + [[1] * 6]
+                               + [[0] * 6] * 3)
+    assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(6, 2, 3)
+
+
+def test_tall_random_ties():
+    # few columns and middling density: the largest area is small and shared
+    rng = random.Random(11)
+    for _ in range(400):
+        cols = rng.randint(1, 8)
+        m = generate_matrix(GenSpec(rng.randint(cols + 1, 70), cols,
+                                    rng.choice((0.4, 0.6, 0.75)), rng.getrandbits(32)))
+        assert maximal_rectangle(m) == stack_rectangle(m)
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 200])
+def test_tall_all_ones_and_single_columns(rows):
+    for cols in (1, 2, 7):
+        m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
+        assert maximal_rectangle(m) == RectResult(rows * cols, rows, cols)
+    rng = random.Random(rows)
+    for density in (0.3, 0.7, 0.95):
+        m = generate_matrix(GenSpec(rows, 1, density, rng.getrandbits(32)))
+        assert maximal_rectangle(m) == stack_rectangle(m)
+
+
 def test_maximal_rectangle_random_shapes():
     rng = random.Random(6)
     for _ in range(400):
