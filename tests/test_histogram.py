@@ -141,9 +141,11 @@ def test_maximal_rectangle_across_word_boundaries(cols):
 
 @pytest.mark.parametrize("rows, cols", [
     (255, 3), (256, 3), (257, 3), (300, 5), (70000, 2),
-], ids=["255", "256", "257", "300", "70000x2"])
+    (255, 255), (256, 256), (257, 257), (300, 257),
+], ids=["255", "256", "257", "300", "70000x2", "255x255", "256x256", "257x257", "300x257"])
 def test_maximal_rectangle_heights_at_lane_edges(rows, cols):
-    # the heights pass one byte at 256 and two bytes at 65536
+    # the heights pass one byte at 256 and two bytes at 65536; a tall matrix
+    # is swept by columns, so its heights are runs along rows and reach cols
     m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
     assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(rows * cols, rows, cols)
 
