@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
-from .grid import EDGE_SIZES, BinaryMatrix, EdgeKind, GenSpec, generate_edge_case, generate_matrix
-from .squares import SquareResult, dp_full, dp_rows, freq_square
-
-BASELINES: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
-    "dp_full": dp_full,
-    "dp_rows": dp_rows,
-}
+from .grid import (
+    EDGE_SIZES,
+    BinaryMatrix,
+    EdgeKind,
+    GenSpec,
+    PlotTarget,
+    generate_edge_case,
+    generate_matrix,
+)
+from .squares import BASELINES, freq_square
 
 EDGE_LABELS: dict[EdgeKind, str] = {
     EdgeKind.ALL_ZEROS: "All 0s",
@@ -40,12 +42,6 @@ class EmptyAfterTrimError(ValueError):
 
 class NoRecordsError(ValueError):
     """A plot series selected no records."""
-
-
-class PlotTarget(str, Enum):
-    SPEEDUP_VS_DENSITY = "speedup_vs_density"
-    TIME_VS_DENSITY_AT_SIZE = "time_vs_density_at_size"
-    EDGE_SPEEDUPS = "edge_speedups"
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,14 @@ import os
 import sys
 from math import isqrt
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .bench import (
-    BASELINES,
-    PLOT_SIZE,
-    TABLES,
-    BenchConfig,
-    PlotTarget,
-    plot_selection,
-    render_table,
-    run_edge_cases,
-    run_grid,
-)
 from .grid import (
+    ORACLE_CELL_CAP,
     BinaryMatrix,
     GenSpec,
     MatrixParseError,
+    PlotTarget,
     generate_matrix,
     generate_volume,
     parse_matrix,
@@ -37,25 +28,39 @@ from .grid import (
     serialize_matrix,
     serialize_volume,
 )
-from .squares import (
-    ORACLE_CELL_CAP,
-    SquareResult,
-    brute_force_square,
-    freq_bits,
-    freq_square,
-)
 
+if TYPE_CHECKING:
+    from .squares import SquareResult
+
+# DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
+# which is also the solver's function name
 BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 
 # `solve --algo dp2d` builds a rows x cols table of ints; this is the size of
 # bench's largest grid and of the paper's tables
 DP2D_CELL_CAP = 1_000_000
 
+
+def _squares_solver(name: str) -> Callable[[BinaryMatrix], SquareResult]:
+    """The solver `squares.<name>`, imported on its first call, so that only
+    `solve` loads squares."""
+
+    def solve(m: BinaryMatrix) -> SquareResult:
+        from . import squares
+
+        return getattr(squares, name)(m)
+
+    return solve
+
+
+# `solve --algo` flag -> solver
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
-    "bits": freq_bits,
-    "freq": freq_square,
-    **{flag: BASELINES[name] for flag, name in BASELINE_FLAGS.items()},
-    "brute": brute_force_square,
+    flag: _squares_solver(name) for flag, name in (
+        ("bits", "freq_bits"),
+        ("freq", "freq_square"),
+        *BASELINE_FLAGS.items(),
+        ("brute", "brute_force_square"),
+    )
 }
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -116,23 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mismatch-out", default="mismatches.csv",
                           help="CSV written when disagreements are found")
 
-    bench_defaults = BenchConfig()
+    # the bench options left unset (None) take BenchConfig's defaults and
+    # PLOT_SIZE in _cmd_bench, so building this parser loads no bench
     p_bench = sub.add_parser("bench", help="time the frequency solver against a DP baseline")
-    p_bench.add_argument("--sizes", type=_int_list, default=bench_defaults.sizes)
-    p_bench.add_argument("--densities", type=_float_list, default=bench_defaults.densities)
-    p_bench.add_argument("--runs", type=int, default=bench_defaults.runs)
-    p_bench.add_argument("--trim", type=float, default=bench_defaults.trim_fraction)
-    default_baseline = next(flag for flag, name in BASELINE_FLAGS.items()
-                            if name == bench_defaults.baseline)
-    p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS), default=default_baseline)
+    p_bench.add_argument("--sizes", type=_int_list)
+    p_bench.add_argument("--densities", type=_float_list)
+    p_bench.add_argument("--runs", type=int)
+    p_bench.add_argument("--trim", type=float)
+    p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS))
     p_bench.add_argument("--format", choices=("csv", "md"), default="md")
     p_bench.add_argument("--edge-cases", action="store_true",
                          help="run the constant edge cases instead of the size grid")
     p_bench.add_argument("--plot", choices=[t.value for t in PlotTarget], default=None,
                          help="emit a tidy CSV data series instead of a table")
-    p_bench.add_argument("--plot-size", type=int, default=PLOT_SIZE)
-    p_bench.add_argument("--seed", type=int, default=bench_defaults.seed)
-    p_bench.add_argument("--warmup", type=int, default=bench_defaults.warmup_runs)
+    p_bench.add_argument("--plot-size", type=int)
+    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--warmup", type=int)
 
     p_cube = sub.add_parser("cube", help="find the largest all-ones cube in a volume")
     p_cube.add_argument("path", nargs="?", default="-")
@@ -212,22 +216,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = BenchConfig(
-        sizes=args.sizes,
-        densities=args.densities,
-        runs=args.runs,
-        trim_fraction=args.trim,
-        seed=args.seed,
-        baseline=BASELINE_FLAGS[args.baseline],
-        warmup_runs=args.warmup,
+    from .bench import (
+        PLOT_SIZE,
+        TABLES,
+        BenchConfig,
+        plot_selection,
+        render_table,
+        run_edge_cases,
+        run_grid,
     )
+
+    options = {
+        "sizes": args.sizes,
+        "densities": args.densities,
+        "runs": args.runs,
+        "trim_fraction": args.trim,
+        "seed": args.seed,
+        "baseline": BASELINE_FLAGS.get(args.baseline),
+        "warmup_runs": args.warmup,
+    }
+    config = BenchConfig(**{k: v for k, v in options.items() if v is not None})
     target = PlotTarget(args.plot) if args.plot else None
     edge = args.edge_cases or target is PlotTarget.EDGE_SPEEDUPS
     records = run_edge_cases(config) if edge else run_grid(config)
     if target is None:
         key = ("edge" if edge else "grid", args.format)
     else:
-        key, records = target, plot_selection(records, target, args.plot_size)
+        size = PLOT_SIZE if args.plot_size is None else args.plot_size
+        key, records = target, plot_selection(records, target, size)
     markdown = target is None and args.format == "md"
     sys.stdout.write(render_table(records, TABLES[key], markdown))
     return 0

@@ -17,11 +17,8 @@ as freq_square is for freq_bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bitplanes import at_least, has_run, increment, packed_layers
-from .grid import BinaryMatrix, BinaryVolume
-from .squares import OracleCapExceededError, freq_bits
+from .grid import BinaryMatrix, BinaryVolume, OracleCapExceededError, _Result
 
 CUBE_ORACLE_CELL_CAP = 4096
 
@@ -30,22 +27,28 @@ class ShapeMismatchError(ValueError):
     """Layer shape differs from the frequency matrix shape."""
 
 
-@dataclass
 class DepthFreqMatrix:
     """Per-(row, col) count of consecutive ones along depth, ending at the
-    last layer applied.  Updated in place as layers stream through."""
+    last layer applied.  Updated in place as layers stream through, so it
+    is mutable, compares by value and has no hash.  No `values` (or an
+    empty list) means all zeros."""
 
-    rows: int
-    cols: int
-    values: list[int] = field(default_factory=list)
+    __slots__ = ("rows", "cols", "values")
 
-    def __post_init__(self):
-        if not self.values:
-            self.values = [0] * (self.rows * self.cols)
-        if len(self.values) != self.rows * self.cols:
-            raise ValueError(
-                f"value count {len(self.values)} != {self.rows}x{self.cols}"
-            )
+    def __init__(self, rows: int, cols: int, values: list[int] | None = None):
+        if not values:
+            values = [0] * (rows * cols)
+        if len(values) != rows * cols:
+            raise ValueError(f"value count {len(values)} != {rows}x{cols}")
+        self.rows, self.cols, self.values = rows, cols, values
+
+    def __repr__(self) -> str:
+        return f"DepthFreqMatrix(rows={self.rows!r}, cols={self.cols!r}, values={self.values!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.values) == (other.rows, other.cols, other.values)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "DepthFreqMatrix":
@@ -56,15 +59,18 @@ class DepthFreqMatrix:
         return self.values[i * self.cols + j]
 
 
-@dataclass(frozen=True, slots=True)
-class CubeResult:
+class CubeResult(_Result):
     """Maximal cube side plus the count of volume-cell reads performed.
 
     For max_cube, volume_visited == depth * rows * cols: one read per voxel.
     """
 
+    __slots__ = ()
     side: int
     volume_visited: int
+
+    def __new__(cls, side: int, volume_visited: int) -> CubeResult:
+        return tuple.__new__(cls, (side, volume_visited))
 
 
 def depth_freq_update(f: DepthFreqMatrix, layer: BinaryMatrix) -> DepthFreqMatrix:
@@ -92,6 +98,8 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
     side >= k, which the bit-parallel frequency solver answers in one pass,
     a whole row at a time, with O(cols log rows) bits of auxiliary space.
     """
+    from .squares import freq_bits  # only this reference needs squares
+
     if k < 1:
         raise ValueError("k must be positive")
     if f.rows < k or f.cols < k:

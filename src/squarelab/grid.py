@@ -4,13 +4,22 @@ Matrices are dense row-major grids of 0/1 cells; volumes add a depth axis
 (depth-major, then row-major).  The text format is one line of '0'/'1'
 characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
+
+The value types here and the solvers' result types are tuple subclasses
+built on `_Record` rather than dataclasses, which every CLI run would pay
+for at import: `dataclasses` loads `inspect`.  The enums and constants the
+CLI parser needs without loading the solvers (`PlotTarget`, the oracle cap)
+live here too.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
+
+# the largest input, in cells, the brute-force square oracle accepts
+ORACLE_CELL_CAP = 10_000
 
 
 class MatrixParseError(ValueError):
@@ -33,6 +42,53 @@ class LayerShapeMismatchError(MatrixParseError):
     """Volume layers of differing shapes (or an empty layer)."""
 
 
+class OracleCapExceededError(ValueError):
+    """Input too large for the brute-force oracle."""
+
+
+class _Record(tuple):
+    """An immutable value: a tuple with one read-only property per field.
+
+    A subclass declares its fields as class annotations, in order, and a
+    `__new__` with the same parameters that validates them and calls
+    `tuple.__new__(cls, fields)`; that is the only way to build one, so
+    pickling and copying validate too.  The repr is the dataclass one.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        if own:
+            cls._fields = own
+            for index, name in enumerate(own):
+                setattr(cls, name, property(itemgetter(index)))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Result(_Record):
+    """A solver's answer.  It equals only an answer of the same type, so
+    RectResult(0, 0, 0) != SquareResult(0, 0, 0), nor a plain tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -43,28 +99,27 @@ def _check_cells(cells: bytes) -> None:
         raise ValueError("cells must contain only 0 or 1")
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryMatrix:
+class BinaryMatrix(_Record):
     """Dense row-major grid of 0/1 cells.
 
     `cells` has length rows*cols; the canonical empty matrix is 0x0
     (rows == 0 forces cols == 0).
     """
 
+    __slots__ = ()
     rows: int
     cols: int
     cells: bytes
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, cells: bytes) -> BinaryMatrix:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if self.rows == 0 and self.cols != 0:
+        if rows == 0 and cols != 0:
             raise ValueError("empty matrix must be 0x0")
-        if len(self.cells) != self.rows * self.cols:
-            raise ValueError(
-                f"cell count {len(self.cells)} != {self.rows}x{self.cols}"
-            )
-        _check_cells(self.cells)
+        if len(cells) != rows * cols:
+            raise ValueError(f"cell count {len(cells)} != {rows}x{cols}")
+        _check_cells(cells)
+        return tuple.__new__(cls, (rows, cols, cells))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "BinaryMatrix":
@@ -89,8 +144,7 @@ class BinaryMatrix:
 EMPTY_MATRIX = BinaryMatrix(0, 0, b"")
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryVolume:
+class BinaryVolume(_Record):
     """Dense 3D grid of 0/1 cells, depth-major then row-major.
 
     All layers share the same rows x cols shape; the canonical empty volume
@@ -98,25 +152,24 @@ class BinaryVolume:
     layer survives a text round trip.
     """
 
+    __slots__ = ()
     depth: int
     rows: int
     cols: int
     cells: bytes
 
-    def __post_init__(self):
-        if min(self.depth, self.rows, self.cols) < 0:
+    def __new__(cls, depth: int, rows: int, cols: int, cells: bytes) -> BinaryVolume:
+        if min(depth, rows, cols) < 0:
             raise ValueError("volume dimensions must be nonnegative")
-        if self.depth == 0:
-            if self.rows != 0 or self.cols != 0:
+        if depth == 0:
+            if rows != 0 or cols != 0:
                 raise ValueError("empty volume must be 0x0x0")
-        elif self.rows == 0 or self.cols == 0:
+        elif rows == 0 or cols == 0:
             raise ValueError("volume layers must be at least 1x1")
-        if len(self.cells) != self.depth * self.rows * self.cols:
-            raise ValueError(
-                f"cell count {len(self.cells)} != "
-                f"{self.depth}x{self.rows}x{self.cols}"
-            )
-        _check_cells(self.cells)
+        if len(cells) != depth * rows * cols:
+            raise ValueError(f"cell count {len(cells)} != {depth}x{rows}x{cols}")
+        _check_cells(cells)
+        return tuple.__new__(cls, (depth, rows, cols, cells))
 
     @classmethod
     def from_layers(cls, layers: list[BinaryMatrix]) -> "BinaryVolume":
@@ -151,6 +204,14 @@ class EdgeKind(str, Enum):
     SINGLE_COL = "single_col"
 
 
+class PlotTarget(str, Enum):
+    """The data series `bench --plot` emits."""
+
+    SPEEDUP_VS_DENSITY = "speedup_vs_density"
+    TIME_VS_DENSITY_AT_SIZE = "time_vs_density_at_size"
+    EDGE_SPEEDUPS = "edge_speedups"
+
+
 # edge-case matrix sizes, shared by the verification suite and the benchmark
 EDGE_SIZES: dict[EdgeKind, int] = {
     EdgeKind.ALL_ZEROS: 100,
@@ -160,28 +221,31 @@ EDGE_SIZES: dict[EdgeKind, int] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class GenSpec:
+class GenSpec(_Record):
     """Deterministic recipe for a random grid: identical spec, identical grid.
 
     `depth` selects volume generation; leave None for matrices.
     """
 
+    __slots__ = ()
     rows: int
     cols: int
     density: float
     seed: int
-    depth: int | None = None
+    depth: int | None
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __new__(
+        cls, rows: int, cols: int, density: float, seed: int, depth: int | None = None
+    ) -> GenSpec:
+        if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        if self.depth is not None and self.depth < 1:
+        if depth is not None and depth < 1:
             raise ValueError("depth must be positive when given")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density {self.density} outside [0, 1]")
-        if not 0 <= self.seed < 2**64:
+        if not 0.0 <= density <= 1.0:
+            raise ValueError(f"density {density} outside [0, 1]")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        return tuple.__new__(cls, (rows, cols, density, seed, depth))
 
 
 def _line_to_bits(line: str, lineno: int) -> bytes:

@@ -15,24 +15,26 @@ for the square solvers (every square is a rectangle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable
 
 from .bitplanes import at_least, has_run, increment, max_height, packed_columns, packed_rows
 from .bitplanes import heights as column_heights
-from .grid import BinaryMatrix
+from .grid import BinaryMatrix, _Result
 
 Histogram = list[int]
 
 
-@dataclass(frozen=True, slots=True)
-class RectResult:
+class RectResult(_Result):
     """Largest rectangle: area == height * width, all zero when no ones exist."""
 
+    __slots__ = ()
     area: int
     height: int
     width: int
+
+    def __new__(cls, area: int, height: int, width: int) -> RectResult:
+        return tuple.__new__(cls, (area, height, width))
 
 
 def build_histograms(m: BinaryMatrix) -> list[Histogram]:

@@ -11,40 +11,50 @@ claims are testable rather than taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
 from .bitplanes import at_least, has_run, increment, packed_rows
-from .grid import BinaryMatrix
-
-ORACLE_CELL_CAP = 10_000
-
-
-class OracleCapExceededError(ValueError):
-    """Input too large for the brute-force oracle."""
+# the oracle cap and its error live in grid, so that `cube` can raise it
+# without loading this module; they stay importable from here
+from .grid import ORACLE_CELL_CAP, BinaryMatrix, OracleCapExceededError, _Result
 
 
-@dataclass(frozen=True, slots=True)
-class SquareResult:
+class SquareResult(_Result):
     """Maximal-square answer plus the solver's cell-visit count."""
 
+    __slots__ = ()
     side: int
     area: int
     cells_visited: int
 
+    def __new__(cls, side: int, area: int, cells_visited: int) -> SquareResult:
+        return tuple.__new__(cls, (side, area, cells_visited))
 
-@dataclass(frozen=True, slots=True)
-class FreqState:
+
+class FreqState(_Result):
     """Frequency-solver state snapshot taken after a row finishes.
 
     freq[j] is the run of consecutive ones in column j ending at that row;
     the two thresholds always equal found_max_width + 1.
     """
 
+    __slots__ = ()
     freq: tuple[int, ...]
     found_max_width: int
     check_max_width: int
     check_max_height: int
     counter: int
+
+    def __new__(
+        cls,
+        freq: tuple[int, ...],
+        found_max_width: int,
+        check_max_width: int,
+        check_max_height: int,
+        counter: int,
+    ) -> FreqState:
+        return tuple.__new__(
+            cls, (freq, found_max_width, check_max_width, check_max_height, counter))
 
 
 class AllocationAudit:
@@ -230,6 +240,14 @@ def dp_rows(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResu
                 cur[j] = 0
         prev, cur = cur, prev
     return SquareResult(best, best * best, visited)
+
+
+# the DP references `bench` times freq_square against, and `solve --algo
+# dp|dp2d` runs, by function name
+BASELINES: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
+    "dp_full": dp_full,
+    "dp_rows": dp_rows,
+}
 
 
 def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import squarelab
-from squarelab import cli
+from squarelab import bench, cli, squares
 from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
 
@@ -251,7 +251,7 @@ def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, "solve", str(path), "--algo", "bits")
     assert (code, out) == (0, "side=3 area=9\n")
     monkeypatch.setattr(cli, "DP2D_CELL_CAP", 12)
-    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", cli.BASELINES["dp_full"])
+    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", squares.BASELINES["dp_full"])
     code, out, _ = run(capsys, "solve", str(path), "--algo", "dp2d")
     assert (code, out) == (0, "side=3 area=9\n")
 
@@ -319,15 +319,15 @@ def test_bench_bad_sizes_list(capsys):
 
 def test_bench_defaults_are_bench_config(capsys, monkeypatch):
     configs, sizes = [], []
-    monkeypatch.setattr(cli, "run_grid", lambda config: configs.append(config) or [])
+    monkeypatch.setattr(bench, "run_grid", lambda config: configs.append(config) or [])
     assert main(["bench"]) == 0
     assert configs == [BenchConfig()]
     # the --baseline default follows BenchConfig's, through BASELINE_FLAGS
-    monkeypatch.setattr(cli, "BenchConfig", functools.partial(BenchConfig, baseline="dp_rows"))
+    monkeypatch.setattr(bench, "BenchConfig", functools.partial(BenchConfig, baseline="dp_rows"))
     assert main(["bench"]) == 0
     assert configs[-1] == BenchConfig(baseline="dp_rows")
     # the --plot-size default is plot_selection's
-    monkeypatch.setattr(cli, "plot_selection",
+    monkeypatch.setattr(bench, "plot_selection",
                         lambda records, target, size: sizes.append(size) or records)
     assert main(["bench", "--plot", "time_vs_density_at_size"]) == 0
     assert sizes == [inspect.signature(plot_selection).parameters["size"].default]
@@ -432,3 +432,11 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
     assert code == 130
     assert out == ""
     assert err == "squarelab: interrupted\n"
+
+
+def test_solve_dp_flags_run_the_bench_baselines():
+    # SOLVE_ALGOS looks the solvers up by name; BASELINES keys are those names
+    for flag, name in cli.BASELINE_FLAGS.items():
+        assert squares.BASELINES[name] is getattr(squares, name)
+    assert bench.BASELINES is squares.BASELINES
+    assert sorted(cli.SOLVE_ALGOS) == ["bits", "brute", "dp", "dp2d", "freq"]

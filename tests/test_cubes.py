@@ -277,3 +277,36 @@ def test_brute_force_cube_cap():
 def test_max_cube_deterministic_on_rerun():
     v = generate_volume(GenSpec(8, 8, 0.7, 5, depth=8))
     assert max_cube(v) == max_cube(v)
+
+
+def test_cube_result_is_a_value_of_its_own_type():
+    from squarelab.squares import SquareResult
+
+    r = CubeResult(1, 8)
+    assert repr(r) == "CubeResult(side=1, volume_visited=8)"
+    assert CubeResult(side=1, volume_visited=8) == r
+    assert hash(CubeResult(1, 8)) == hash(r)
+    assert r != (1, 8) and r != SquareResult(1, 8, 0)[:2]
+    for name in ("side", "volume_visited"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    assert not hasattr(r, "_replace") and not hasattr(CubeResult, "_make")
+
+
+def test_depth_freq_matrix_is_a_mutable_value():
+    f = DepthFreqMatrix(2, 1)
+    assert repr(f) == "DepthFreqMatrix(rows=2, cols=1, values=[0, 0])"
+    assert repr(DepthFreqMatrix.from_rows([[1, 2]])) == (
+        "DepthFreqMatrix(rows=1, cols=2, values=[1, 2])")
+    assert f == DepthFreqMatrix(2, 1, [0, 0]) and f != DepthFreqMatrix(1, 2)
+    assert DepthFreqMatrix(2, 1, []) == f
+    f.values[1] = 3
+    assert f.get(1, 0) == 3 and f != DepthFreqMatrix(2, 1)
+    f.values = [4, 4]
+    assert f == DepthFreqMatrix(2, 1, [4, 4])
+    with pytest.raises(TypeError):
+        hash(f)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(ValueError, match="value count 3 != 2x1"):
+        DepthFreqMatrix(2, 1, [0, 0, 0])

@@ -1,3 +1,6 @@
+import copy
+import inspect
+import pickle
 import random
 
 import pytest
@@ -243,3 +246,61 @@ def test_edge_case_shapes():
 def test_edge_case_size_must_be_positive():
     with pytest.raises(ValueError):
         generate_edge_case(EdgeKind.ALL_ONES, 0)
+
+
+# one value of each grid type and the repr the dataclass version printed
+GRID_VALUES = [
+    (BinaryMatrix(2, 2, b"\x01\x00\x00\x01"),
+     "BinaryMatrix(rows=2, cols=2, cells=b'\\x01\\x00\\x00\\x01')"),
+    (BinaryVolume(1, 1, 2, b"\x01\x00"),
+     "BinaryVolume(depth=1, rows=1, cols=2, cells=b'\\x01\\x00')"),
+    (GenSpec(3, 4, 0.5, 7), "GenSpec(rows=3, cols=4, density=0.5, seed=7, depth=None)"),
+    (GenSpec(3, 4, 0.5, 7, depth=2), "GenSpec(rows=3, cols=4, density=0.5, seed=7, depth=2)"),
+]
+
+
+@pytest.mark.parametrize("value, text", GRID_VALUES, ids=lambda v: type(v).__name__)
+def test_grid_value_repr_is_the_dataclass_one(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", [v for v, _ in GRID_VALUES], ids=lambda v: type(v).__name__)
+def test_grid_values_are_immutable(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value", [v for v, _ in GRID_VALUES], ids=lambda v: type(v).__name__)
+def test_equal_grid_values_hash_equal(value):
+    twin = type(value)(*value)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    assert len({value, twin}) == 1
+
+
+@pytest.mark.parametrize("cls", [BinaryMatrix, BinaryVolume, GenSpec])
+def test_grid_constructor_takes_the_fields_by_name(cls):
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
+    value = next(v for v, _ in GRID_VALUES if type(v) is cls)
+    assert cls(**dict(zip(cls._fields, value))) == value
+    assert GenSpec(3, 4, 0.5, 7).depth is None
+
+
+def test_grid_values_have_no_unvalidated_constructor():
+    m = BinaryMatrix(1, 1, b"\x01")
+    assert not hasattr(m, "_replace") and not hasattr(BinaryMatrix, "_make")
+    # pickling and copying rebuild the value through __new__, which validates
+    assert m.__reduce_ex__(2)[1] == (BinaryMatrix, 1, 1, b"\x01")
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert copy.copy(m) == m and copy.deepcopy(m) == m
+
+
+def test_grid_values_compare_as_tuples():
+    # documented: a grid value is a tuple of its fields, in order
+    m = BinaryMatrix(1, 2, b"\x01\x00")
+    assert m == (1, 2, b"\x01\x00")
+    assert len(m) == 3 and list(m) == [m.rows, m.cols, m.cells]
+    assert GenSpec(1, 1, 0.0, 0) == (1, 1, 0.0, 0, None)

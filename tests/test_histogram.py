@@ -12,7 +12,7 @@ from squarelab.histogram import (
     largest_rect_in_histogram,
     maximal_rectangle,
 )
-from squarelab.squares import freq_square, freq_square_traced
+from squarelab.squares import SquareResult, freq_square, freq_square_traced
 
 
 def stack_rectangle(m):
@@ -235,3 +235,18 @@ def test_beats_is_exact_on_every_small_histogram():
             largest = largest_rect_in_histogram(list(counts)).area
             for best in range(largest + 2):
                 assert _beats(planes, row, 1, top, best) == (largest > best), (counts, best)
+
+
+def test_rect_result_is_a_value_of_its_own_type():
+    r = RectResult(2, 1, 2)
+    assert repr(r) == "RectResult(area=2, height=1, width=2)"
+    assert RectResult(area=2, height=1, width=2) == r
+    assert hash(RectResult(2, 1, 2)) == hash(r)
+    # same fields, different question: never equal
+    assert RectResult(0, 0, 0) != SquareResult(0, 0, 0)
+    assert SquareResult(0, 0, 0) != RectResult(0, 0, 0)
+    assert RectResult(0, 0, 0) != (0, 0, 0)
+    for name in ("area", "height", "width"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    assert not hasattr(r, "_replace") and not hasattr(RectResult, "_make")

@@ -59,16 +59,20 @@ ALL = [
 ]
 
 
-def loaded_submodules(tmp_path, *argv):
-    """The squarelab submodules a fresh interpreter imports to run argv,
-    read from the `-X importtime` report on stderr."""
+def loaded_modules(tmp_path, *argv):
+    """Every module a fresh interpreter imports to run argv, read from the
+    `-X importtime` report on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[1].strip()
-             for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return {name.removeprefix("squarelab.") for name in names
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def loaded_submodules(tmp_path, *argv):
+    """The squarelab submodules a fresh interpreter imports to run argv."""
+    return {name.removeprefix("squarelab.") for name in loaded_modules(tmp_path, *argv)
             if name.startswith("squarelab.")}
 
 
@@ -76,16 +80,34 @@ def test_import_alone_loads_no_submodule(tmp_path):
     assert loaded_submodules(tmp_path, "-c", "import squarelab") == set()
 
 
-@pytest.mark.parametrize("command, text, unused", [
-    ("solve", "110\n111\n011\n", {"cubes", "histogram", "verify"}),
-    ("rect", "110\n111\n011\n", {"cubes", "verify"}),
-    ("cube", "11\n11\n\n11\n11\n", {"histogram", "verify"}),
-], ids=["solve", "rect", "cube"])
+HOT_PATHS = [
+    ("solve", "110\n111\n011\n", {"bench", "cubes", "histogram", "verify"}),
+    ("rect", "110\n111\n011\n", {"bench", "cubes", "squares", "verify"}),
+    ("cube", "11\n11\n\n11\n11\n", {"bench", "histogram", "squares", "verify"}),
+]
+
+
+@pytest.mark.parametrize("command, text, unused", HOT_PATHS, ids=["solve", "rect", "cube"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, command, text, unused):
     (tmp_path / "in.txt").write_text(text)
     loaded = loaded_submodules(tmp_path, "-m", "squarelab", command, "in.txt")
     assert "cli" in loaded
     assert not loaded & unused
+
+
+@pytest.mark.parametrize("command, text", [(c, t) for c, t, _ in HOT_PATHS],
+                         ids=["solve", "rect", "cube"])
+def test_subcommand_loads_no_dataclasses(tmp_path, command, text):
+    if "dataclasses" in loaded_modules(tmp_path, "-c", "pass"):
+        pytest.skip("this interpreter loads dataclasses at start-up")
+    (tmp_path / "in.txt").write_text(text)
+    assert "dataclasses" not in loaded_modules(tmp_path, "-m", "squarelab", command, "in.txt")
+
+
+def test_gen_loads_no_bench(tmp_path):
+    loaded = loaded_submodules(tmp_path, "-m", "squarelab", "gen", "--rows", "2",
+                               "--cols", "2", "--density", "0.5")
+    assert "cli" in loaded and "bench" not in loaded
 
 
 def test_all_is_pinned():

@@ -7,6 +7,7 @@ from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.squares import (
     ORACLE_CELL_CAP,
     AllocationAudit,
+    FreqState,
     OracleCapExceededError,
     SquareResult,
     brute_force_square,
@@ -299,3 +300,43 @@ def test_freq_bits_aux_space_in_words(rows, cols, density):
     audit = AllocationAudit()
     freq_bits(generate_matrix(GenSpec(rows, cols, density, 1)), audit=audit)
     assert audit.peak_elements <= (rows.bit_length() + 2) * ((cols + 63) // 64)
+
+
+# one value of each result type and the repr the dataclass version printed
+RESULTS = [
+    (SquareResult(1, 1, 4), "SquareResult(side=1, area=1, cells_visited=4)"),
+    (FreqState((1, 0), 1, 2, 2, 0),
+     "FreqState(freq=(1, 0), found_max_width=1, check_max_width=2, "
+     "check_max_height=2, counter=0)"),
+]
+
+
+@pytest.mark.parametrize("value, text", RESULTS, ids=lambda v: type(v).__name__)
+def test_result_repr_is_the_dataclass_one(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, _", RESULTS, ids=lambda v: type(v).__name__)
+def test_results_are_immutable_and_hash_by_value(value, _):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    twin = type(value)(**{name: getattr(value, name) for name in value._fields})
+    assert twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    assert not hasattr(value, "_replace") and not hasattr(value, "_make")
+
+
+def test_results_equal_only_their_own_type():
+    # a tuple subclass would otherwise equal any tuple of the same items
+    assert SquareResult(0, 0, 0) != (0, 0, 0)
+    assert (0, 0, 0) != SquareResult(0, 0, 0)
+    assert SquareResult(0, 0, 0) != FreqState((), 0, 0, 0, 0)[:3]
+    assert {SquareResult(0, 0, 0): 1}.get((0, 0, 0)) is None
+
+
+def test_oracle_cap_lives_in_grid():
+    from squarelab import grid
+
+    assert OracleCapExceededError is grid.OracleCapExceededError
+    assert ORACLE_CELL_CAP == grid.ORACLE_CELL_CAP
