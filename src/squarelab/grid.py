@@ -7,9 +7,9 @@ All types are immutable after construction.
 
 The value types here and the solvers' result types are tuple subclasses
 built on `_Record` rather than dataclasses, which every CLI run would pay
-for at import: `dataclasses` loads `inspect`.  The enums and constants the
-CLI parser needs without loading the solvers (`PlotTarget`, the oracle cap)
-live here too.
+for at import: `dataclasses` loads `inspect`.  The names `cli` and `cubes`
+use without loading `bench` or `squares` (`PlotTarget`, the oracle cap and
+its error) live here too.
 """
 
 from __future__ import annotations
