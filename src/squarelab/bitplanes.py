@@ -1,16 +1,18 @@
 """Bit-sliced counters on Python ints, shared by the row and layer kernels.
 
-A grid row is packed into one int, column 0 in the most significant of
-`cols` bits.  A grid column is packed the same way, row 0 on top, and the
-helpers below take it as a row whose columns are the grid's rows.  A
-volume layer is packed into one int the same way, row 0 in the top bits,
-with a zero guard bit after every row: the row stride is `cols + 1`, so a
-shift by less than a stride never carries a run of ones from one row into
-the next.  A counter is a list of planes, least
-significant first: bit p of planes[k] is bit k of the count at position p.
-Each helper works on every position of a row or layer at once with a
-handful of big-int operations, and `heights` reads a counter back out
-with one bytes spread and one shifted OR per plane.
+The packers read a grid's '0'/'1' text (`grid.MatrixText` and
+`grid.VolumeText`): a file's own bytes, or a BinaryMatrix's or
+BinaryVolume's cells translated once.  A grid row is packed into one int,
+column 0 in the most significant of `cols` bits.  A grid column is packed
+the same way, row 0 on top, and the helpers below take it as a row whose
+columns are the grid's rows.  A volume layer is packed into one int the
+same way, row 0 in the top bits, with a zero guard bit after every row:
+the row stride is `cols + 1`, so a shift by less than a stride never
+carries a run of ones from one row into the next.  A counter is a list of
+planes, least significant first: bit p of planes[k] is bit k of the count
+at position p.  Each helper works on every position of a row or layer at
+once with a handful of big-int operations, and `heights` reads a counter
+back out with one bytes spread and one shifted OR per plane.
 """
 
 from __future__ import annotations
@@ -18,50 +20,63 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from .grid import _TO_BITS, _TO_TEXT, BinaryMatrix, BinaryVolume
+from .grid import _TO_BITS, BinaryMatrix, BinaryVolume, MatrixText, VolumeText
 
 # native memoryview formats for 1-, 2-, 4- and 8-byte counts
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
+# a layer's row newlines, read as its guard bits
+_GUARD = bytes.maketrans(b"\n", b"0")
 
-def packed_rows(m: BinaryMatrix) -> Iterator[int]:
-    """Each row of `m` as an int, column 0 in the most significant bit.
+
+def text_rows(t: MatrixText) -> Iterator[int]:
+    """Each row of `t` as an int, column 0 in the most significant bit.
 
     A matrix with no columns has no rows to pack.
     """
-    cols, cells = m.cols, m.cells
+    text, cols, stride = t.text, t.cols, t.cols + 1
     if cols == 0:
         return
-    for i in range(m.rows):
-        yield int(cells[i * cols:(i + 1) * cols].translate(_TO_TEXT), 2)
+    for start in range(0, t.rows * stride, stride):
+        yield int(text[start:start + cols], 2)
+
+
+def text_columns(t: MatrixText) -> Iterator[int]:
+    """Each column of `t` as an int, row 0 in the most significant bit.
+
+    One strided slice of the text per column, so no transposed copy of
+    the grid is ever made.
+    """
+    text, stride = t.text, t.cols + 1
+    for j in range(t.cols):
+        yield int(text[j::stride], 2)
+
+
+def text_layers(t: VolumeText) -> Iterator[int]:
+    """Each layer of `t` as an int: row 0 in the top bits, column 0 on top
+    within its row, and a zero guard bit after every row (stride cols + 1).
+
+    Each row's newline is read as its guard bit, so a layer is one slice
+    of the text and one translate.
+    """
+    text, pitch, size = t.text, t.pitch, t.rows * (t.cols + 1)
+    for d in range(t.depth):
+        yield int(text[d * pitch:d * pitch + size].translate(_GUARD), 2)
+
+
+def packed_rows(m: BinaryMatrix) -> Iterator[int]:
+    """`text_rows` of a BinaryMatrix."""
+    return text_rows(MatrixText.of(m))
 
 
 def packed_columns(m: BinaryMatrix) -> Iterator[int]:
-    """Each column of `m` as an int, row 0 in the most significant bit.
-
-    One strided slice of the cells per column, so no transposed copy of
-    the cells is ever made.
-    """
-    cols, cells = m.cols, m.cells
-    for j in range(cols):
-        yield int(cells[j::cols].translate(_TO_TEXT), 2)
+    """`text_columns` of a BinaryMatrix."""
+    return text_columns(MatrixText.of(m))
 
 
 def packed_layers(v: BinaryVolume) -> Iterator[int]:
-    """Each layer of `v` as an int: row 0 in the top bits, column 0 on top
-    within its row, and a zero guard bit after every row (stride cols + 1).
-
-    The guard bits are laid in by one strided slice copy per column over
-    the whole volume, so no loop runs once per voxel.
-    """
-    cells, cols = v.cells, v.cols
-    lines, stride = v.depth * v.rows, cols + 1
-    bits = bytearray(lines * stride)
-    for j in range(cols):
-        bits[j::stride] = cells[j::cols]
-    size = v.rows * stride
-    for d in range(v.depth):
-        yield int(bits[d * size:(d + 1) * size].translate(_TO_TEXT), 2)
+    """`text_layers` of a BinaryVolume."""
+    return text_layers(VolumeText.of(v))
 
 
 def increment(planes: list[int], row: int) -> None:

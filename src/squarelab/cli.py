@@ -23,8 +23,8 @@ from .grid import (
     PlotTarget,
     generate_matrix,
     generate_volume,
-    parse_matrix,
-    parse_volume,
+    read_matrix,
+    read_volume,
     serialize_matrix,
     serialize_volume,
 )
@@ -53,7 +53,8 @@ def _squares_solver(name: str) -> Callable[[BinaryMatrix], SquareResult]:
     return solve
 
 
-# `solve --algo` flag -> solver
+# `solve --algo` flag -> solver; `bits` runs as squares.freq_bits_text on the
+# file's text, the others on the BinaryMatrix made from it
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
     flag: _squares_solver(name) for flag, name in (
         ("bits", "freq_bits"),
@@ -66,15 +67,13 @@ SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _read_text(path: str | None) -> str:
-    # stdin and files are both read as bytes and decoded one way, whatever the
-    # locale, so a '\r' or a non-ASCII byte reaches the parser and fails there
-    # with its line number
+def _read_bytes(path: str | None) -> bytes:
+    # stdin and files are both read as bytes, whatever the locale, so a '\r'
+    # or a non-ASCII byte reaches grid's checks and the line parser, which
+    # names its line
     if path is None or path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        data = Path(path).read_bytes()
-    return data.decode("utf-8", "surrogateescape")
+        return sys.stdin.buffer.read()
+    return Path(path).read_bytes()
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -149,12 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    matrix = parse_matrix(_read_text(args.path))
-    cells = matrix.rows * matrix.cols
-    if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
-        raise ValueError(
-            f"{matrix.rows}x{matrix.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
-    result = SOLVE_ALGOS[args.algo](matrix)
+    grid = read_matrix(_read_bytes(args.path))
+    if args.algo == "bits":
+        from .squares import freq_bits_text
+
+        result = freq_bits_text(grid)
+    else:
+        cells = grid.rows * grid.cols
+        if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
+            raise ValueError(
+                f"{grid.rows}x{grid.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
+        result = SOLVE_ALGOS[args.algo](grid.matrix())
     print(f"side={result.side} area={result.area}")
     return 0
 
@@ -250,22 +254,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
-    from .cubes import brute_force_cube, max_cube
+    from .cubes import brute_force_cube, max_cube_text
 
-    volume = parse_volume(_read_text(args.path))
+    grid = read_volume(_read_bytes(args.path))
     if args.algo == "freq":
-        result = max_cube(volume)
+        result = max_cube_text(grid)
     else:
-        result = brute_force_cube(volume)
+        result = brute_force_cube(grid.volume())
     print(f"side={result.side}")
     return 0
 
 
 def _cmd_rect(args: argparse.Namespace) -> int:
-    from .histogram import maximal_rectangle
+    from .histogram import maximal_rectangle_text
 
-    matrix = parse_matrix(_read_text(args.path))
-    result = maximal_rectangle(matrix)
+    result = maximal_rectangle_text(read_matrix(_read_bytes(args.path)))
     print(f"area={result.area} h={result.height} w={result.width}")
     return 0
 

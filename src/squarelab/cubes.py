@@ -17,8 +17,8 @@ as freq_square is for freq_bits.
 
 from __future__ import annotations
 
-from .bitplanes import at_least, has_run, increment, packed_layers
-from .grid import BinaryMatrix, BinaryVolume, OracleCapExceededError, _Result
+from .bitplanes import at_least, has_run, increment, text_layers
+from .grid import BinaryMatrix, BinaryVolume, OracleCapExceededError, VolumeText, _Result
 
 CUBE_ORACLE_CELL_CAP = 4096
 
@@ -119,7 +119,7 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     after applying layer d the only side worth checking is t = best + 1.
 
     Each layer is one int with a guard bit after every row (see
-    bitplanes.packed_layers), and the depth runs are a bit-sliced counter
+    bitplanes.text_layers), and the depth runs are a bit-sliced counter
     over it.  The positions whose run is at least t form a mask, and a t x t
     window of them exists iff eroding the mask by t along rows (shift unit
     1) and then by t along columns (shift unit cols + 1) leaves a bit set.
@@ -128,10 +128,15 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     DepthFreqMatrix, depth_freq_update and exists_cube_at_depth are the
     per-voxel reference this sweep is tested against.
     """
+    return max_cube_text(VolumeText.of(v))
+
+
+def max_cube_text(v: VolumeText) -> CubeResult:
+    """max_cube on a volume's text, the file's bytes for `cube`."""
     limit, stride = min(v.rows, v.cols), v.cols + 1
     planes: list[int] = []
     best = 0
-    for layer in packed_layers(v):
+    for layer in text_layers(v):
         if best == limit:
             break
         increment(planes, layer)

@@ -5,6 +5,12 @@ Matrices are dense row-major grids of 0/1 cells; volumes add a depth axis
 characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
 
+A file's bytes are read by `read_matrix` and `read_volume`: a well-formed
+file is checked with a few whole-buffer operations and then read in place
+as MatrixText or VolumeText, whose row, column and layer slices `bitplanes`
+packs.  The line parsers, `parse_matrix` and `parse_volume`, report what
+those checks reject, naming the line.
+
 The value types here and the solvers' result types are tuple subclasses
 built on `_Record` rather than dataclasses, which every CLI run would pay
 for at import: `dataclasses` loads `inspect`.  The names `cli` and `cubes`
@@ -300,11 +306,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
 def serialize_matrix(m: BinaryMatrix) -> str:
     """Inverse of parse_matrix: one '\\n'-terminated line per row."""
-    out = []
-    for i in range(m.rows):
-        out.append(m.row(i).translate(_TO_TEXT).decode("ascii"))
-        out.append("\n")
-    return "".join(out)
+    return _text_of(m.cells, m.rows, m.cols).decode("ascii")
 
 
 def parse_volume(text: str) -> BinaryVolume:
@@ -337,8 +339,148 @@ def parse_volume(text: str) -> BinaryVolume:
 
 def serialize_volume(v: BinaryVolume) -> str:
     """Inverse of parse_volume: layers joined by one blank line."""
-    parts = [serialize_matrix(v.layer(d)) for d in range(v.depth)]
-    return "\n".join(parts)
+    return VolumeText.of(v).text.decode("ascii")
+
+
+def _text_of(cells: bytes, lines: int, cols: int) -> bytes:
+    """`lines` rows of `cols` 0/1 cells as text, each row ending in a newline.
+
+    One slice copy per row or per column, whichever there are fewer of, so
+    no loop runs once per cell.
+    """
+    cells, stride = cells.translate(_TO_TEXT), cols + 1
+    text = bytearray(b"\n") * (lines * stride)
+    if lines <= cols:
+        for i in range(lines):
+            text[i * stride:i * stride + cols] = cells[i * cols:(i + 1) * cols]
+    else:
+        for j in range(cols):
+            text[j::stride] = cells[j::cols]
+    return bytes(text)
+
+
+def _rows_end(text: bytes, start: int, rows: int, cols: int) -> bool:
+    # whether the rows lines of cols cells from text[start] each end in a newline
+    stride = cols + 1
+    return text[start + cols:start + rows * stride:stride] == b"\n" * rows
+
+
+def _only_cells(text: bytes, newlines: int) -> bool:
+    # whether text holds `newlines` newlines and, besides them, only '0' and '1'
+    return text.translate(None, b"01") == b"\n" * newlines
+
+
+class MatrixText(_Record):
+    """A matrix in its file format, as bytes: rows lines of cols '0'/'1'
+    cells, each ending in a newline.  Row i is text[i * (cols + 1):][:cols]
+    and column j is text[j::cols + 1].
+
+    `__new__` checks the whole text with a few whole-buffer operations, so
+    every slice the packers in `bitplanes` hand to int(.., 2), which would
+    also take whitespace, '_' or a sign, is '0'/'1' digits.
+    """
+
+    __slots__ = ()
+    text: bytes
+    rows: int
+    cols: int
+
+    def __new__(cls, text: bytes, rows: int, cols: int) -> MatrixText:
+        if (min(rows, cols) < 0 or len(text) != rows * (cols + 1)
+                or not _rows_end(text, 0, rows, cols) or not _only_cells(text, rows)):
+            raise ValueError(f"text is not {rows} lines of {cols} '0'/'1' cells")
+        return tuple.__new__(cls, (text, rows, cols))
+
+    @classmethod
+    def of(cls, m: BinaryMatrix) -> MatrixText:
+        # m's cells are 0/1 already, so the text needs no second check
+        return tuple.__new__(cls, (_text_of(m.cells, m.rows, m.cols), m.rows, m.cols))
+
+    def matrix(self) -> BinaryMatrix:
+        """The same grid as a BinaryMatrix, made with one translate."""
+        return BinaryMatrix(self.rows, self.cols, self.text.translate(_TO_BITS, b"\n"))
+
+
+class VolumeText(_Record):
+    """A volume in its file format, as bytes: depth layers of matrix text
+    joined by one blank line each.  Layer d is the rows * (cols + 1) bytes
+    at d * pitch, pitch being one more, and its row newlines read as zeros
+    are the guard bits of `bitplanes.text_layers`.  Checked whole in
+    `__new__`, as MatrixText is.
+    """
+
+    __slots__ = ()
+    text: bytes
+    depth: int
+    rows: int
+    cols: int
+
+    def __new__(cls, text: bytes, depth: int, rows: int, cols: int) -> VolumeText:
+        size = rows * (cols + 1)
+        pitch = size + 1
+        if (min(depth, rows, cols) < 0 or (depth and not rows * cols)
+                or len(text) != max(depth * pitch - 1, 0)
+                or text[size::pitch] != b"\n" * (depth - 1)
+                or not all(_rows_end(text, d * pitch, rows, cols) for d in range(depth))
+                or not _only_cells(text, max(depth * (rows + 1) - 1, 0))):
+            raise ValueError(f"text is not {depth} layers of {rows}x{cols} '0'/'1' cells")
+        return tuple.__new__(cls, (text, depth, rows, cols))
+
+    @property
+    def pitch(self) -> int:
+        return self.rows * (self.cols + 1) + 1
+
+    @classmethod
+    def of(cls, v: BinaryVolume) -> VolumeText:
+        size = v.rows * (v.cols + 1)
+        body = _text_of(v.cells, v.depth * v.rows, v.cols)
+        text = b"\n".join([body[d * size:(d + 1) * size] for d in range(v.depth)])
+        return tuple.__new__(cls, (text, v.depth, v.rows, v.cols))
+
+    def volume(self) -> BinaryVolume:
+        """The same grid as a BinaryVolume, made with one translate."""
+        cells = self.text.translate(_TO_BITS, b"\n")
+        return BinaryVolume(self.depth, self.rows, self.cols, cells)
+
+
+def _decode(data: bytes) -> str:
+    # a byte that is not UTF-8 is kept as a surrogate, so the line parser
+    # names it and its line
+    return data.decode("utf-8", "surrogateescape")
+
+
+def read_matrix(data: bytes) -> MatrixText:
+    """The matrix in a file's bytes, checked in bulk and read in place.
+
+    The last line may omit its newline.  The first newline gives the
+    shape, and MatrixText checks the bytes against it.  Anything it
+    rejects, and the empty file, goes to parse_matrix, which raises the
+    error, naming the line, that it raises on the decoded text.
+    """
+    text = data if data.endswith(b"\n") else data + b"\n"
+    cols = text.find(b"\n")
+    if cols > 0:  # a blank first line is the line parser's to report
+        try:
+            return MatrixText(text, len(text) // (cols + 1), cols)
+        except ValueError:
+            pass
+    return MatrixText.of(parse_matrix(_decode(data)))
+
+
+def read_volume(data: bytes) -> VolumeText:
+    """The volume in a file's bytes, checked in bulk and read in place, as
+    read_matrix is; layer 0 ends at the first blank line.  Anything
+    VolumeText rejects goes to parse_volume."""
+    text = data if data.endswith(b"\n") else data + b"\n"
+    cols = text.find(b"\n")
+    if cols > 0:
+        end = text.find(b"\n\n")
+        size = len(text) if end < 0 else end + 1
+        try:
+            return VolumeText(text, (len(text) + 1) // (size + 1), size // (cols + 1), cols)
+        except ValueError:
+            pass
+    return VolumeText.of(parse_volume(_decode(data)))
 
 
 def _random_cells(spec: GenSpec) -> bytes:

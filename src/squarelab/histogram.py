@@ -18,9 +18,9 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable
 
-from .bitplanes import at_least, has_run, increment, max_height, packed_columns, packed_rows
+from .bitplanes import at_least, has_run, increment, max_height, text_columns, text_rows
 from .bitplanes import heights as column_heights
-from .grid import BinaryMatrix, _Result
+from .grid import BinaryMatrix, MatrixText, _Result
 
 Histogram = list[int]
 
@@ -122,7 +122,7 @@ def _sweep(lines: Iterable[int], n: int) -> RectResult:
 def _first_bottom_row(columns: list[int], rows: int, area: int) -> int:
     """The smallest bottom row over all all-ones rectangles of `area` cells.
 
-    `columns` are the packed columns (see `bitplanes.packed_columns`).  A
+    `columns` are the packed columns (see `bitplanes.text_columns`).  A
     counter over them holds each row's run of ones ending at the current
     column.  For each shape h x w of the area that fits, at_least(w) marks
     the rows whose run reaches w, and has_run(.., h) keeps bit p when the h
@@ -157,14 +157,19 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     rectangle of area A (`_first_bottom_row`).  Row i*'s heights are read
     with one `rfind` per column and go through the same stack.
     """
-    rows, cols = m.rows, m.cols
+    return maximal_rectangle_text(MatrixText.of(m))
+
+
+def maximal_rectangle_text(t: MatrixText) -> RectResult:
+    """maximal_rectangle on a grid's text, the file's bytes for `rect`."""
+    rows, cols = t.rows, t.cols
     if rows <= cols:
-        return _sweep(packed_rows(m), cols)
-    columns = list(packed_columns(m))  # rows * cols bits, read twice
+        return _sweep(text_rows(t), cols)
+    columns = list(text_columns(t))  # rows * cols bits, read twice
     best = _sweep(columns, rows)
     if not best.area:
         return best
     i = _first_bottom_row(columns, rows, best.area)
-    cells = m.cells
+    text, stride = t.text, cols + 1
     return largest_rect_in_histogram(
-        [i - cells[j:(i + 1) * cols:cols].rfind(0) for j in range(cols)])
+        [i - text[j:(i + 1) * stride:stride].rfind(b"0") for j in range(cols)])

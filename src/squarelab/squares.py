@@ -11,12 +11,12 @@ claims are testable rather than taken on faith.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
-from .bitplanes import at_least, has_run, increment, packed_rows
+from .bitplanes import at_least, has_run, increment, packed_rows, text_columns, text_rows
 # the oracle cap and its error live in grid, so that `cube` can raise it
 # without loading this module; they stay importable from here
-from .grid import ORACLE_CELL_CAP, BinaryMatrix, OracleCapExceededError, _Result
+from .grid import ORACLE_CELL_CAP, BinaryMatrix, MatrixText, OracleCapExceededError, _Result
 
 
 class SquareResult(_Result):
@@ -151,6 +151,23 @@ def freq_square_traced(
     return result, snapshots
 
 
+def _bits_side(lines: Iterable[int], n: int, audit: AllocationAudit | None) -> int:
+    """freq_bits' sweep over packed lines of n bits: the largest side."""
+    words = (n + 63) // 64
+    if audit is not None:
+        audit.add(words)  # the packed line
+    planes: list[int] = []
+    best = 0
+    for line in lines:
+        depth = len(planes)
+        increment(planes, line)
+        if audit is not None and len(planes) > depth:
+            audit.add(words)
+        if has_run(at_least(planes, best + 1, line), best + 1):
+            best += 1
+    return best
+
+
 def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:
     """freq_square's threshold raising, one whole row at a time on bit masks.
 
@@ -164,21 +181,25 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     ending at row i - 1, so best grows by at most one per row.  Packing
     reads each cell once, so cells_visited == rows * cols; the audit counts
     64-bit words.
+
+    This always sweeps the rows, so the counter holds O(cols log rows)
+    words, the paper's O(n) space; sweeping the columns of a tall matrix
+    would hold O(rows log cols).  `freq_bits_text`, which `solve` runs on a
+    file already held in memory whole, sweeps the shorter axis instead.
     """
-    rows, cols = m.rows, m.cols
-    words = (cols + 63) // 64
-    if audit is not None:
-        audit.add(words)  # the packed row
-    planes: list[int] = []
-    best = 0
-    for row in packed_rows(m):
-        depth = len(planes)
-        increment(planes, row)
-        if audit is not None and len(planes) > depth:
-            audit.add(words)
-        if has_run(at_least(planes, best + 1, row), best + 1):
-            best += 1
-    return SquareResult(best, best * best, rows * cols)
+    best = _bits_side(packed_rows(m), m.cols, audit)
+    return SquareResult(best, best * best, m.rows * m.cols)
+
+
+def freq_bits_text(t: MatrixText) -> SquareResult:
+    """freq_bits on a grid's text, sweeping its shorter axis: the rows when
+    rows <= cols, else the columns.  A square's side is the same on the
+    transpose, so the answer is freq_bits' either way."""
+    if t.rows <= t.cols:
+        best = _bits_side(text_rows(t), t.cols, None)
+    else:
+        best = _bits_side(text_columns(t), t.rows, None)
+    return SquareResult(best, best * best, t.rows * t.cols)
 
 
 def dp_full(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:

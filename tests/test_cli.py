@@ -440,3 +440,53 @@ def test_solve_dp_flags_run_the_bench_baselines():
         assert squares.BASELINES[name] is getattr(squares, name)
     assert bench.BASELINES is squares.BASELINES
     assert sorted(cli.SOLVE_ALGOS) == ["bits", "brute", "dp", "dp2d", "freq"]
+
+
+def blank(line):
+    return (2, "", f"squarelab: parse error (line {line}): line {line} is blank; "
+                   "a matrix has no blank lines\n")
+
+
+def parse_error(line, message):
+    return 2, "", f"squarelab: parse error (line {line}): {message}\n"
+
+
+# inputs next to the edges of the bulk check, and what each subcommand printed
+# when every file went through the line parser: (solve, rect, cube)
+EDGE_INPUTS = {
+    # cols 0 from the first newline; a naive check would pass it
+    "leading-blank": (b"\n11\n11\n", blank(1), blank(1),
+                      parse_error(1, "empty layer before line 1")),
+    "no-final-newline": (b"11\n11", (0, "side=2 area=4\n", ""),
+                         (0, "area=4 h=2 w=2\n", ""), (0, "side=1\n", "")),
+    "trailing-blank": (b"11\n11\n\n", blank(3), blank(3),
+                       parse_error(4, "empty layer before line 4")),
+    "crlf": (b"11\r\n11\r\n", *[parse_error(1, "invalid character '\\r' at line 1")] * 3),
+    "lone-cr": (b"11\r11\r", *[parse_error(1, "invalid character '\\r' at line 1")] * 3),
+    "not-utf8": (b"11\n1\xff\n", *[parse_error(2, "invalid character '\\udcff' at line 2")] * 3),
+    "two-blank-lines": (b"11\n11\n\n\n11\n11\n", blank(3), blank(3),
+                        parse_error(4, "empty layer before line 4")),
+    "short-last-layer": (b"11\n11\n\n11\n", blank(3), blank(3),
+                         parse_error(5, "layer 2 is 1x2, expected 2x2 (line 5)")),
+    "underscore": (b"1_\n11\n", *[parse_error(1, "invalid character '_' at line 1")] * 3),
+    "plus": (b"+1\n11\n", *[parse_error(1, "invalid character '+' at line 1")] * 3),
+    "space": (b" 1\n11\n", *[parse_error(1, "invalid character ' ' at line 1")] * 3),
+}
+EDGE_COMMANDS = [
+    *((["solve", "--algo", algo], 0) for algo in ("bits", "freq", "dp", "dp2d", "brute")),
+    (["rect"], 1),
+    *((["cube", "--algo", algo], 2) for algo in ("freq", "brute")),
+]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("name", EDGE_INPUTS)
+def test_edge_inputs_print_what_the_line_parser_printed(tmp_path, capsys, monkeypatch,
+                                                       name, source):
+    data, *want = EDGE_INPUTS[name]
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    for command, kind in EDGE_COMMANDS:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        where = str(path) if source == "file" else "-"
+        assert run(capsys, command[0], where, *command[1:]) == want[kind], command

@@ -14,12 +14,17 @@ from squarelab.grid import (
     GenSpec,
     InvalidCharError,
     LayerShapeMismatchError,
+    MatrixParseError,
+    MatrixText,
     RaggedRowsError,
+    VolumeText,
     generate_edge_case,
     generate_matrix,
     generate_volume,
     parse_matrix,
     parse_volume,
+    read_matrix,
+    read_volume,
     serialize_matrix,
     serialize_volume,
 )
@@ -304,3 +309,105 @@ def test_grid_values_compare_as_tuples():
     assert m == (1, 2, b"\x01\x00")
     assert len(m) == 3 and list(m) == [m.rows, m.cols, m.cells]
     assert GenSpec(1, 1, 0.0, 0) == (1, 1, 0.0, 0, None)
+
+
+def test_read_matrix_reads_the_file_in_place():
+    data = b"110\n011\n"
+    t = read_matrix(data)
+    assert t == (data, 2, 3) and t.text is data
+    assert t.matrix() == parse_matrix(data.decode())
+    # a missing final newline is added; the shape and cells are the same
+    assert read_matrix(b"110\n011") == t
+
+
+def test_read_volume_reads_the_file_in_place():
+    data = b"10\n01\n\n11\n00\n\n01\n11\n"
+    t = read_volume(data)
+    assert t == (data, 3, 2, 2) and t.text is data and t.pitch == 7
+    assert t.volume() == parse_volume(data.decode())
+    assert read_volume(data[:-1]) == t
+    assert read_volume(b"1\n") == (b"1\n", 1, 1, 1)
+
+
+def test_empty_file_is_the_empty_grid():
+    assert read_matrix(b"").matrix() == EMPTY_MATRIX
+    assert read_volume(b"").volume() == EMPTY_VOLUME
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"\n11\n11\n", 1, "line 1 is blank; a matrix has no blank lines"),
+    (b"11\n11\n\n", 3, "line 3 is blank; a matrix has no blank lines"),
+    (b"11\r\n11\r\n", 1, "invalid character '\\r' at line 1"),
+    (b"1_\n11\n", 1, "invalid character '_' at line 1"),
+    (b"+1\n11\n", 1, "invalid character '+' at line 1"),
+    (b" 1\n11\n", 1, "invalid character ' ' at line 1"),
+    (b"11\n1\xff\n", 2, "invalid character '\\udcff' at line 2"),
+    (b"11\n1\n", 2, "line 2 has 1 cells, expected 2"),
+])
+def test_read_matrix_rejects_as_the_line_parser_does(data, line, message):
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(data)
+    assert (info.value.line, str(info.value)) == (line, message)
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"\n11\n", 1, "empty layer before line 1"),
+    (b"11\n\n\n11\n", 3, "empty layer before line 3"),
+    (b"11\n11\n\n", 4, "empty layer before line 4"),
+    (b"11\n11\n\n11\n", 5, "layer 2 is 1x2, expected 2x2 (line 5)"),
+    (b"11\n11\n\n111\n111\n", 6, "layer 2 is 2x3, expected 2x2 (line 6)"),
+    (b"11\n\n1_\n", 3, "invalid character '_' at line 3"),
+])
+def test_read_volume_rejects_as_the_line_parser_does(data, line, message):
+    with pytest.raises(MatrixParseError) as info:
+        read_volume(data)
+    assert (info.value.line, str(info.value)) == (line, message)
+
+
+@pytest.mark.parametrize("fields", [
+    (b" 1\n11\n", 2, 2),  # int(b" 1", 2) would read it
+    (b"1_\n11\n", 2, 2),
+    (b"+1\n11\n", 2, 2),
+    (b"11\n11", 2, 2),
+    (b"111\n1\n", 2, 2),
+    (b"11\n11\n", 1, 2),
+    (b"", -1, 0),
+])
+def test_matrix_text_checks_its_text(fields):
+    with pytest.raises(ValueError):
+        MatrixText(*fields)
+
+
+@pytest.mark.parametrize("fields", [
+    (b"11\n11\n\n1_\n11\n", 2, 2, 2),
+    (b"11\n11\n11\n11\n", 2, 2, 2),  # no blank line between the layers
+    (b"11\n11\n\n11\n11\n\n", 2, 2, 2),
+    (b"11\n1\n1\n", 2, 1, 2),  # a cell where the blank line goes, a newline in a row
+    (b"1\n1\n\n11\n\n", 2, 2, 1),  # the second layer's rows end off the stride
+    (b"11\n", 1, 0, 2),
+    (b"\n", 2, 0, 0),
+])
+def test_volume_text_checks_its_text(fields):
+    with pytest.raises(ValueError):
+        VolumeText(*fields)
+
+
+def test_grid_text_rebuilds_through_the_check():
+    t = read_matrix(b"10\n01\n")
+    assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
+    assert t.__reduce_ex__(2)[1] == (MatrixText, b"10\n01\n", 2, 2)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4)])
+def test_grid_text_of_a_grid_is_its_file(rows, cols):
+    m = (BinaryMatrix(rows, cols, b"") if not rows * cols
+         else generate_matrix(GenSpec(rows, cols, 0.5, 3)))
+    t = MatrixText.of(m)
+    assert t.text == serialize_matrix(m).encode() and t.matrix() == m
+    assert MatrixText(*t) == t
+    if rows * cols:
+        v = generate_volume(GenSpec(rows, cols, 0.5, 3, depth=3))
+        vt = VolumeText.of(v)
+        assert vt.text == serialize_volume(v).encode() and vt.volume() == v
+        assert VolumeText(*vt) == vt
+    assert VolumeText.of(EMPTY_VOLUME) == (b"", 0, 0, 0)

@@ -5,17 +5,20 @@ benchmark table."""
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
-from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
+from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube, max_cube_text
 from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
     EdgeKind,
+    MatrixParseError,
     parse_matrix,
     parse_volume,
+    read_matrix,
+    read_volume,
     serialize_matrix,
     serialize_volume,
 )
@@ -24,8 +27,9 @@ from squarelab.histogram import (
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
+    maximal_rectangle_text,
 )
-from squarelab.squares import freq_bits, freq_square
+from squarelab.squares import freq_bits, freq_bits_text, freq_square
 
 # the host's speed varies, so no per-example deadline
 PROPERTY = settings(deadline=None, max_examples=150)
@@ -73,6 +77,49 @@ def test_freq_bits_equals_freq_square(m):
     assert freq_bits(m) == freq_square(m)
 
 
+# file bytes: the format's three, and six that int(.., 2) or the decoder
+# treat specially, '0', '1' and newlines drawn most often
+FILE_BYTES = [b"0", b"1", b"\n"] * 4 + [b"\r", b"_", b"+", b" ", b"2", b"\xff"]
+files = st.lists(st.sampled_from(FILE_BYTES), max_size=16).map(b"".join)
+# well-formed files, and those with one byte dropped or doubled
+grid_files = st.one_of(
+    matrices(max_dim=4).map(lambda m: serialize_matrix(m).encode()),
+    volumes(max_dim=3).map(lambda v: serialize_volume(v).encode()),
+).flatmap(lambda data: st.sampled_from([
+    data, data[:-1], data[1:], *(data[:k] + data[k - 1:] for k in range(1, len(data)))]))
+
+
+def line_parse(parse, data):
+    """The line parser's grid, or its error's line and message."""
+    try:
+        return parse(data.decode("utf-8", "surrogateescape"))
+    except MatrixParseError as exc:
+        return exc.line, str(exc)
+
+
+def bulk_read(read, data):
+    """`read`'s grid, through its text, or its error's line and message."""
+    try:
+        t = read(data)
+    except MatrixParseError as exc:
+        return exc.line, str(exc)
+    return t.matrix() if hasattr(t, "matrix") else t.volume()
+
+
+@PROPERTY
+@given(st.one_of(files, grid_files))
+# int(b" 1", 2) == 1 and int(b"1_1", 2) == 3, so these must fail the check
+@example(b"1_\n11\n")
+@example(b"+1\n11\n")
+@example(b" 1\n11\n")
+@example(b"\n11\n11\n")  # the first newline gives cols 0
+def test_bulk_read_agrees_with_the_line_parser(data):
+    # the bulk check accepts what the line parser accepts, with the same
+    # shape and cells, and anything else fails with the line parser's error
+    assert bulk_read(read_matrix, data) == line_parse(parse_matrix, data)
+    assert bulk_read(read_volume, data) == line_parse(parse_volume, data)
+
+
 def dense_cells(draw, n):
     """n cells at a drawn density from all zeros to all ones."""
     cut = draw(st.integers(0, 256))
@@ -116,6 +163,20 @@ def test_maximal_rectangle_equals_the_row_stack(m):
 def test_max_cube_equals_the_brute_force_oracle(v):
     assert v.depth * v.rows * v.cols <= CUBE_ORACLE_CELL_CAP
     assert max_cube(v).side == brute_force_cube(v).side
+
+
+@PROPERTY
+@given(dense_matrices(max_dim=40))
+def test_kernels_on_the_file_text_equal_the_matrix_kernels(m):
+    t = read_matrix(serialize_matrix(m).encode())
+    assert freq_bits_text(t) == freq_bits(m)
+    assert maximal_rectangle_text(t) == maximal_rectangle(m)
+
+
+@PROPERTY
+@given(dense_volumes(max_dim=9))
+def test_max_cube_on_the_file_text_equals_max_cube(v):
+    assert max_cube_text(read_volume(serialize_volume(v).encode())) == max_cube(v)
 
 
 @PROPERTY
