@@ -14,7 +14,6 @@ from squarelab.grid import (
     GenSpec,
     InvalidCharError,
     LayerShapeMismatchError,
-    MatrixParseError,
     MatrixText,
     RaggedRowsError,
     VolumeText,
@@ -332,36 +331,6 @@ def test_read_volume_reads_the_file_in_place():
 def test_empty_file_is_the_empty_grid():
     assert read_matrix(b"").matrix() == EMPTY_MATRIX
     assert read_volume(b"").volume() == EMPTY_VOLUME
-
-
-@pytest.mark.parametrize("data, line, message", [
-    (b"\n11\n11\n", 1, "line 1 is blank; a matrix has no blank lines"),
-    (b"11\n11\n\n", 3, "line 3 is blank; a matrix has no blank lines"),
-    (b"11\r\n11\r\n", 1, "invalid character '\\r' at line 1"),
-    (b"1_\n11\n", 1, "invalid character '_' at line 1"),
-    (b"+1\n11\n", 1, "invalid character '+' at line 1"),
-    (b" 1\n11\n", 1, "invalid character ' ' at line 1"),
-    (b"11\n1\xff\n", 2, "invalid character '\\udcff' at line 2"),
-    (b"11\n1\n", 2, "line 2 has 1 cells, expected 2"),
-])
-def test_read_matrix_rejects_as_the_line_parser_does(data, line, message):
-    with pytest.raises(MatrixParseError) as info:
-        read_matrix(data)
-    assert (info.value.line, str(info.value)) == (line, message)
-
-
-@pytest.mark.parametrize("data, line, message", [
-    (b"\n11\n", 1, "empty layer before line 1"),
-    (b"11\n\n\n11\n", 3, "empty layer before line 3"),
-    (b"11\n11\n\n", 4, "empty layer before line 4"),
-    (b"11\n11\n\n11\n", 5, "layer 2 is 1x2, expected 2x2 (line 5)"),
-    (b"11\n11\n\n111\n111\n", 6, "layer 2 is 2x3, expected 2x2 (line 6)"),
-    (b"11\n\n1_\n", 3, "invalid character '_' at line 3"),
-])
-def test_read_volume_rejects_as_the_line_parser_does(data, line, message):
-    with pytest.raises(MatrixParseError) as info:
-        read_volume(data)
-    assert (info.value.line, str(info.value)) == (line, message)
 
 
 @pytest.mark.parametrize("fields", [
