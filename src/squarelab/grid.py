@@ -81,8 +81,9 @@ class _Record(tuple):
 
 
 class _Result(_Record):
-    """A solver's answer.  It equals only an answer of the same type, so
-    RectResult(0, 0, 0) != SquareResult(0, 0, 0), nor a plain tuple."""
+    """A solver's answer, or a verify finding.  It equals only a value of the
+    same type, so RectResult(0, 0, 0) != SquareResult(0, 0, 0), nor a plain
+    tuple."""
 
     __slots__ = ()
 

@@ -272,11 +272,15 @@ BASELINES: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
 
 
 def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:
-    """Direct oracle: grow a square at every anchor while its border is all ones.
+    """Direct oracle: test the one window at each anchor that could beat the best.
 
-    Checks the (top, left, k) windows explicitly; once side k fails at an
-    anchor, every larger side there contains the same zero and is skipped.
-    cells_visited counts raw cell reads, which exceed rows*cols.
+    For each (top, left) it checks only the k x k window with k = best + 1,
+    one row segment at a time.  An all-ones window raises best to k and the
+    same anchor is tried at k + 1.  A zero at column z rules out every
+    anchor up to z on that top at side k, so left jumps to z + 1 (the
+    bad-character skip of Boyer and Moore, CACM 20(10), 1977).
+    cells_visited counts the cells each segment scan reads, up to and
+    including its first zero, so it can be below rows*cols.
     """
     rows, cols, cells = m.rows, m.cols, m.cells
     if rows * cols > ORACLE_CELL_CAP:
@@ -287,30 +291,20 @@ def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) ->
         audit.add(0)  # no auxiliary storage
     best = 0
     visited = 0
-    for top in range(rows):
-        row_limit = rows - top
-        for left in range(cols):
-            limit = min(row_limit, cols - left)
-            k = 0
-            while k < limit:
-                # border of the (k+1)-sided square: new bottom row + new right column
-                ok = True
-                base = (top + k) * cols
-                for j in range(left, left + k + 1):
-                    visited += 1
-                    if not cells[base + j]:
-                        ok = False
-                        break
-                if ok:
-                    col = left + k
-                    for i in range(top, top + k):
-                        visited += 1
-                        if not cells[i * cols + col]:
-                            ok = False
-                            break
-                if not ok:
+    top = 0
+    while top + best < rows:
+        left = 0
+        while left + best < cols and top + best < rows:
+            k = best + 1
+            corner = top * cols + left
+            for start in range(corner, corner + k * cols, cols):
+                zero = cells.find(0, start, start + k)
+                if zero >= 0:
+                    visited += zero - start + 1
+                    left += zero - start + 1
                     break
-                k += 1
-            if k > best:
+                visited += k
+            else:
                 best = k
+        top += 1
     return SquareResult(best, best * best, visited)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .grid import (
@@ -22,6 +21,7 @@ from .grid import (
     BinaryMatrix,
     EdgeKind,
     GenSpec,
+    _Result,
     generate_edge_case,
     generate_matrix,
     serialize_matrix,
@@ -59,30 +59,57 @@ class EnumerationCapExceededError(ValueError):
     """Exhaustive sweep would enumerate too many matrices."""
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(_Result):
     """One disagreement: the input and every solver's claimed side."""
 
+    __slots__ = ()
     case_id: str
     matrix: BinaryMatrix
     sides: tuple[tuple[str, int], ...]
 
+    def __new__(cls, case_id: str, matrix: BinaryMatrix,
+                sides: tuple[tuple[str, int], ...]) -> Mismatch:
+        return tuple.__new__(cls, (case_id, matrix, sides))
 
-@dataclass(frozen=True, slots=True)
-class InvariantFailure:
+
+class InvariantFailure(_Result):
     """A broken internal invariant on one case; row < 0 means not row-specific."""
 
+    __slots__ = ()
     case_id: str
     row: int
     description: str
 
+    def __new__(cls, case_id: str, row: int, description: str) -> InvariantFailure:
+        return tuple.__new__(cls, (case_id, row, description))
 
-@dataclass
+
 class VerifyReport:
-    cases_run: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-    invariant_failures: list[InvariantFailure] = field(default_factory=list)
-    elapsed: float = 0.0
+    """What one campaign found: cases run, findings, and its wall time.
+    Campaigns fill it in place, so it is mutable, compares by value and has
+    no hash."""
+
+    def __init__(
+        self,
+        cases_run: int = 0,
+        mismatches: list[Mismatch] | None = None,
+        invariant_failures: list[InvariantFailure] | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.cases_run = cases_run
+        self.mismatches = [] if mismatches is None else mismatches
+        self.invariant_failures = [] if invariant_failures is None else invariant_failures
+        self.elapsed = elapsed
+
+    def __repr__(self) -> str:
+        return (f"VerifyReport(cases_run={self.cases_run!r}, mismatches={self.mismatches!r}, "
+                f"invariant_failures={self.invariant_failures!r}, elapsed={self.elapsed!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.cases_run, self.mismatches, self.invariant_failures, self.elapsed)
+                == (other.cases_run, other.mismatches, other.invariant_failures, other.elapsed))
 
     @property
     def clean(self) -> bool:

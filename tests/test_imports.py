@@ -95,13 +95,17 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, command, text, unused):
     assert not loaded & unused
 
 
-@pytest.mark.parametrize("command, text", [(c, t) for c, t, _ in HOT_PATHS],
-                         ids=["solve", "rect", "cube"])
-def test_subcommand_loads_no_dataclasses(tmp_path, command, text):
+VERIFY_ARGV = ["verify", "--exhaustive-max", "2", "--random-count", "2", "--max-dim", "3"]
+
+
+@pytest.mark.parametrize("argv, text",
+                         [([c, "in.txt"], t) for c, t, _ in HOT_PATHS] + [(VERIFY_ARGV, "")],
+                         ids=["solve", "rect", "cube", "verify"])
+def test_subcommand_loads_no_dataclasses(tmp_path, argv, text):
     if "dataclasses" in loaded_modules(tmp_path, "-c", "pass"):
         pytest.skip("this interpreter loads dataclasses at start-up")
     (tmp_path / "in.txt").write_text(text)
-    assert "dataclasses" not in loaded_modules(tmp_path, "-m", "squarelab", command, "in.txt")
+    assert "dataclasses" not in loaded_modules(tmp_path, "-m", "squarelab", *argv)
 
 
 def test_gen_loads_no_bench(tmp_path):

@@ -17,7 +17,7 @@ from squarelab.squares import (
     freq_square,
     freq_square_traced,
 )
-from squarelab.verify import DEFAULT_SOLVERS, exhaustive_sweep, random_campaign
+from squarelab.verify import DEFAULT_SOLVERS, _pattern_cells, exhaustive_sweep, random_campaign
 
 ALL_SOLVERS = [freq_square, freq_bits, dp_full, dp_rows, brute_force_square]
 
@@ -176,6 +176,63 @@ def test_brute_force_cap():
     assert m.rows * m.cols > ORACLE_CELL_CAP
     with pytest.raises(OracleCapExceededError):
         brute_force_square(m)
+
+
+def grown_border_square(m):
+    """Reference oracle: grow a square at every anchor while the border it
+    adds (the new bottom row and right column) is all ones.  This is the
+    per-anchor brute_force_square that the skipping one replaced."""
+    rows, cols, cells = m.rows, m.cols, m.cells
+    best = 0
+    for top in range(rows):
+        for left in range(cols):
+            limit = min(rows - top, cols - left)
+            k = 0
+            while k < limit:
+                base = (top + k) * cols
+                if not all(cells[base + j] for j in range(left, left + k + 1)):
+                    break
+                if not all(cells[i * cols + left + k] for i in range(top, top + k)):
+                    break
+                k += 1
+            best = max(best, k)
+    return best
+
+
+def test_brute_force_matches_grown_border_exhaustively():
+    for r in range(1, 5):
+        for c in range(1, 5):
+            for pattern in range(2 ** (r * c)):
+                m = BinaryMatrix(r, c, _pattern_cells(pattern, r * c))
+                assert brute_force_square(m).side == grown_border_square(m), m
+
+
+@pytest.mark.parametrize("density", [0.9, 0.95, 0.99, 1.0])
+def test_brute_force_matches_grown_border_on_dense_shapes(density):
+    rng = random.Random(int(density * 100))
+    for _ in range(40):
+        m = generate_matrix(GenSpec(rng.randint(1, 40), rng.randint(1, 40),
+                                    density, rng.getrandbits(32)))
+        assert brute_force_square(m).side == grown_border_square(m), m
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (7, 3), (3, 7), (40, 40)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_brute_force_matches_grown_border_on_edge_shapes(shape):
+    rows, cols = shape
+    ones = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
+    assert brute_force_square(ones).side == grown_border_square(ones) == min(rows, cols)
+    rng = random.Random(rows * 100 + cols)
+    for _ in range(20):
+        m = generate_matrix(GenSpec(rows, cols, rng.random(), rng.getrandbits(32)))
+        assert brute_force_square(m).side == grown_border_square(m), m
+
+
+def test_brute_force_counts_the_cells_its_scans_read():
+    # k=1 at (0,0): reads cell (0,0), best=1.  k=2 at (0,0): reads row 0
+    # (2 cells), then row 1 up to its zero (2 cells); left jumps past the
+    # zero to 2, and no 2x2 window fits anywhere else: 1 + 2 + 2 = 5.
+    assert brute_force_square(rows_matrix([[1, 1], [1, 0]])) == SquareResult(1, 1, 5)
 
 
 def test_allocation_audit_tracks_peak():

@@ -6,6 +6,7 @@ from squarelab.verify import (
     ENUMERATION_CAP,
     DEFAULT_SOLVERS,
     EnumerationCapExceededError,
+    InvariantFailure,
     Mismatch,
     VerifyReport,
     edge_case_suite,
@@ -187,3 +188,20 @@ def test_reports_track_visit_counts():
     # shows up as an invariant failure
     report = exhaustive_sweep(2, 3)
     assert report.invariant_failures == []
+
+
+def test_report_and_finding_values():
+    a, b = VerifyReport(), VerifyReport()
+    assert a == b and a.mismatches is not b.mismatches
+    assert repr(a) == ("VerifyReport(cases_run=0, mismatches=[], invariant_failures=[], "
+                       "elapsed=0.0)")
+    failure = InvariantFailure("c", -1, "d")
+    assert repr(failure) == "InvariantFailure(case_id='c', row=-1, description='d')"
+    a.invariant_failures.append(failure)
+    assert a != b and not a.clean and b.clean
+    assert a == VerifyReport(invariant_failures=[InvariantFailure("c", -1, "d")])
+    assert failure != ("c", -1, "d")
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        failure.row = 0
