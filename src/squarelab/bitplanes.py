@@ -1,29 +1,25 @@
-"""Bit-sliced counters on Python ints, shared by the row and layer kernels.
+"""Bit-sliced counters and whole-grid bitboards on Python ints, shared by
+the square, rectangle and cube kernels.
 
 The packers read a grid's '0'/'1' text (`grid.MatrixText` and
 `grid.VolumeText`): a file's own bytes, or a BinaryMatrix's or
 BinaryVolume's cells translated once.  A grid row is packed into one int,
 column 0 in the most significant of `cols` bits.  A grid column is packed
 the same way, row 0 on top, and the helpers below take it as a row whose
-columns are the grid's rows.  A volume layer is packed into one int the
-same way, row 0 in the top bits, with a zero guard bit after every row:
-the row stride is `cols + 1`, so a shift by less than a stride never
-carries a run of ones from one row into the next.  A counter is a list of
-planes, least significant first: bit p of planes[k] is bit k of the count
-at position p.  Each helper works on every position of a row or layer at
-once with a handful of big-int operations, and `heights` reads a counter
-back out with one bytes spread and one shifted OR per plane.
+columns are the grid's rows.  A whole grid (`text_board`) or a volume
+layer is packed into one int the same way, row 0 in the top bits, with
+zero guard bits after every row, so a shift by less than a row stride
+never carries a run of ones from one row into the next.  A counter is a
+list of planes, least significant first: bit p of planes[k] is bit k of
+the count at position p.  Each helper works on every position of a row,
+layer or grid at once with a handful of big-int operations.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator
 
-from .grid import _TO_BITS, BinaryMatrix, BinaryVolume, MatrixText, VolumeText
-
-# native memoryview formats for 1-, 2-, 4- and 8-byte counts
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+from .grid import BinaryMatrix, BinaryVolume, MatrixText, VolumeText
 
 # a layer's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
@@ -50,6 +46,22 @@ def text_columns(t: MatrixText) -> Iterator[int]:
     text, stride = t.text, t.cols + 1
     for j in range(t.cols):
         yield int(text[j::stride], 2)
+
+
+def text_board(t: MatrixText) -> tuple[int, int]:
+    """The whole grid of `t` as one int, and its row stride in bits.
+
+    Row 0 is in the top bits and column 0 on top within its row.  Each row
+    is padded with zero guard bits to whole bytes, at least one, so the
+    stride is a multiple of 8 above cols.  The rows are written into one
+    bytearray, which is read as a single int.
+    """
+    size = t.cols // 8 + 1
+    pad = 8 * size - t.cols
+    board = bytearray(t.rows * size)
+    for start, row in zip(range(0, len(board), size), text_rows(t)):
+        board[start:start + size] = (row << pad).to_bytes(size, "big")
+    return int.from_bytes(board, "big"), 8 * size
 
 
 def text_layers(t: VolumeText) -> Iterator[int]:
@@ -113,53 +125,19 @@ def at_least(planes: list[int], t: int, row: int) -> int:
     return gt | eq
 
 
-def has_run(mask: int, w: int, unit: int = 1) -> int:
+def has_run(mask: int, w: int, unit: int = 1, have: int = 1) -> int:
     """Nonzero iff `mask` has a run of `w` (>= 1) set bits, `unit` apart.
 
-    About log2(w) shift-ANDs: after each, bit j is set iff bits j, j + unit,
-    .., j + (width - 1) * unit all were, and the width doubles until it
-    reaches w.  Unit 1 finds consecutive bits; a layer's row stride finds
-    the same column in consecutive rows.
+    About log2(w / have) shift-ANDs: after each, bit j is set iff bits j,
+    j + unit, .., j + (width - 1) * unit all were, and the width doubles
+    until it reaches w.  Unit 1 finds consecutive bits; a row stride finds
+    the same column in consecutive rows.  A `mask` that already marks runs
+    of `have` <= w bits starts from that width, so a w <= 2 * have costs
+    one shift-AND and w == have none.
     """
-    width = 1
+    width = have
     while width < w and mask:
         step = min(width, w - width)
         mask &= mask >> step * unit
         width += step
     return mask
-
-
-def max_height(planes: list[int], row: int) -> int:
-    """The largest count over the columns of `row`, exactly.
-
-    MSB-first greedy: keep the candidate columns that have the current bit
-    whenever any of them do, which fixes the maximum one bit at a time.
-    """
-    cand, h = row, 0
-    for k in range(len(planes) - 1, -1, -1):
-        hit = cand & planes[k]
-        if hit:
-            cand = hit
-            h |= 1 << k
-    return h
-
-
-def heights(planes: list[int], cols: int) -> list[int]:
-    """Every column's count as a list, column 0 first.
-
-    Each column is one lane of the smallest native width (1, 2, 4 or 8
-    bytes) that holds len(planes) bits.  Plane k's bits are spread one per
-    lane, at the lane's low byte, and the lanes read as one native-order
-    int are ORed in shifted by k, which sets bit k of every lane at once.
-    Every step is a big-int or bytes operation; nothing loops over columns
-    in Python.
-    """
-    size = next(s for s in (1, 2, 4, 8) if 8 * s >= len(planes))
-    lanes = bytearray(cols * size)
-    low = 0 if sys.byteorder == "little" else size - 1
-    counts = 0
-    for k, plane in enumerate(planes):
-        lanes[low::size] = format(plane, f"0{cols}b").encode().translate(_TO_BITS)
-        counts |= int.from_bytes(lanes, sys.byteorder) << k
-    lanes = counts.to_bytes(cols * size, sys.byteorder)
-    return memoryview(lanes).cast(_LANE_CODES[size]).tolist()

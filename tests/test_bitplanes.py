@@ -5,12 +5,11 @@ import pytest
 from squarelab.bitplanes import (
     at_least,
     has_run,
-    heights,
     increment,
-    max_height,
     packed_columns,
     packed_layers,
     packed_rows,
+    text_board,
 )
 from squarelab.grid import (
     EMPTY_MATRIX,
@@ -18,6 +17,7 @@ from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
     GenSpec,
+    MatrixText,
     generate_matrix,
     generate_volume,
 )
@@ -65,6 +65,17 @@ def test_packed_columns_match_each_columns_text(rows, cols):
     text = m.to_rows()
     want = [int("".join(str(text[i][j]) for i in range(rows)), 2) for j in range(cols)]
     assert list(packed_columns(m)) == want
+
+
+@pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 16, 65])
+def test_text_board_pads_every_row_to_whole_bytes(cols):
+    # at least one zero guard bit after every row, even at a multiple of 8
+    m = generate_matrix(GenSpec(5, cols, 0.7, cols)) if cols else BinaryMatrix(5, 0, b"")
+    board, stride = text_board(MatrixText.of(m))
+    assert stride % 8 == 0 and cols < stride <= cols + 8
+    want = "".join(format(row, f"0{cols}b") + "0" * (stride - cols) if cols else "0" * stride
+                   for row in packed_rows(m))
+    assert board == int(want or "0", 2)
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():
@@ -142,6 +153,17 @@ def test_has_run_marks_where_each_run_starts():
     assert has_run(0, 1) == 0
 
 
+def test_has_run_extends_a_mask_of_shorter_runs():
+    # a mask of runs of `have` extended to w equals the mask of runs of w
+    rng = random.Random(6)
+    for unit in (1, 3, 9):
+        mask = rng.getrandbits(300) | rng.getrandbits(300)
+        for have in (1, 2, 3, 5, 8):
+            start = has_run(mask, have, unit)
+            for w in range(have, 20):
+                assert has_run(start, w, unit, have) == has_run(mask, w, unit), (unit, have, w)
+
+
 def test_has_run_with_a_shift_unit_matches_a_bit_count():
     # bit j survives iff bits j, j + unit, .., j + (w - 1) * unit are all set
     rng = random.Random(5)
@@ -153,29 +175,3 @@ def test_has_run_with_a_shift_unit_matches_a_bit_count():
                 want = sum(1 << j for j in range(width)
                            if all(mask >> (j + k * unit) & 1 for k in range(w)))
                 assert has_run(mask, w, unit) == want, (mask, w, unit)
-
-
-def test_max_height_is_exact():
-    rng = random.Random(4)
-    for cols in (1, 3, 64, 65, 200):
-        for _ in range(40):
-            counts = [rng.randrange(0, rng.choice((2, 17, 300, 70000))) for _ in range(cols)]
-            planes, row = planes_of(counts)
-            assert max_height(planes, row) == max(counts)
-    assert max_height([], 0) == 0
-
-
-@pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 63, 64, 65, 250])
-def test_heights_reads_every_lane_width(cols):
-    # 0..8 planes fit one byte, 9..16 take 2-byte lanes, 17..32 four, 33+ eight
-    rng = random.Random(cols)
-    for depth in (0, 1, 7, 8, 9, 15, 16, 17, 32, 33, 40):
-        planes = [rng.getrandbits(cols) for _ in range(depth)]
-        assert heights(planes, cols) == counts_of(planes, cols), depth
-
-
-def test_heights_at_lane_edges():
-    for top in (255, 256, 257, 65535, 65536, 65537, 2**32, 2**32 + 1):
-        counts = [top, 0, top - 1, 1, top]
-        planes, _ = planes_of(counts)
-        assert heights(planes, len(counts)) == counts

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from squarelab.bitplanes import increment, max_height
+from squarelab import histogram
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.histogram import (
     RectResult,
-    _beats,
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
@@ -131,8 +130,10 @@ def test_maximal_rectangle_every_matrix_up_to_4x4():
                 assert maximal_rectangle(m) == stack_rectangle(m), m
 
 
-@pytest.mark.parametrize("cols", [63, 64, 65])
+@pytest.mark.parametrize("cols", [7, 8, 9, 15, 16, 17, 63, 64, 65])
 def test_maximal_rectangle_across_word_boundaries(cols):
+    # each row is padded to whole bytes with at least one guard bit, so a
+    # multiple of 8 columns takes a whole byte of guard bits
     rng = random.Random(cols)
     for density in (0.5, 0.8, 0.95, 1.0):
         m = generate_matrix(GenSpec(40, cols, density, rng.getrandbits(32)))
@@ -144,8 +145,7 @@ def test_maximal_rectangle_across_word_boundaries(cols):
     (255, 255), (256, 256), (257, 257), (300, 257),
 ], ids=["255", "256", "257", "300", "70000x2", "255x255", "256x256", "257x257", "300x257"])
 def test_maximal_rectangle_heights_at_lane_edges(rows, cols):
-    # the heights pass one byte at 256 and two bytes at 65536; a tall matrix
-    # is swept by columns, so its heights are runs along rows and reach cols
+    # heights and widths past one and two bytes, on square, tall and wide shapes
     m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
     assert maximal_rectangle(m) == stack_rectangle(m) == RectResult(rows * cols, rows, cols)
 
@@ -219,22 +219,20 @@ def test_maximal_rectangle_random_shapes():
         assert maximal_rectangle(m) == stack_rectangle(m)
 
 
-def test_beats_is_exact_on_every_small_histogram():
-    # _beats(lo=1, hi=hmax) says exactly whether some h * L(h) exceeds best
-    for cols in range(1, 7):
-        for counts in itertools.product(range(5), repeat=cols):
-            top = max(counts)
-            if not top:
-                continue
-            # column j is a one in the last counts[j] of `top` rows
-            planes = []
-            for level in range(top, 0, -1):
-                row = sum(1 << (cols - 1 - j) for j, c in enumerate(counts) if c >= level)
-                increment(planes, row)
-            assert max_height(planes, row) == top
-            largest = largest_rect_in_histogram(list(counts)).area
-            for best in range(largest + 2):
-                assert _beats(planes, row, 1, top, best) == (largest > best), (counts, best)
+@pytest.mark.parametrize("rows, cols", [(250, 4000), (1000, 1000), (4000, 250)])
+def test_all_ones_takes_a_few_dozen_board_operations(monkeypatch, rows, cols):
+    # every shift-AND on the board goes through has_run; a walk that visits
+    # every width or height would call it thousands of times here
+    has_run, calls = histogram.has_run, []
+
+    def counting(*args):
+        calls.append(None)
+        return has_run(*args)
+
+    monkeypatch.setattr(histogram, "has_run", counting)
+    m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
+    assert maximal_rectangle(m) == RectResult(rows * cols, rows, cols)
+    assert len(calls) <= 100
 
 
 def test_rect_result_is_a_value_of_its_own_type():

@@ -153,8 +153,9 @@ def stack_rectangle(m):
 
 
 @PROPERTY
-@given(dense_matrices(max_dim=40))
+@given(st.one_of(dense_matrices(max_dim=16), dense_matrices(max_dim=40)))
 def test_maximal_rectangle_equals_the_row_stack(m):
+    # on grids up to 16x16 the largest area is often held by several shapes
     assert maximal_rectangle(m) == stack_rectangle(m)
 
 
