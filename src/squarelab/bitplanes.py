@@ -4,24 +4,25 @@ the square, rectangle and cube kernels.
 The packers read a grid's '0'/'1' text (`grid.MatrixText` and
 `grid.VolumeText`): a file's own bytes, or a BinaryMatrix's or
 BinaryVolume's cells translated once.  A grid row is packed into one int,
-column 0 in the most significant of `cols` bits.  A grid column is packed
-the same way, row 0 on top, and the helpers below take it as a row whose
-columns are the grid's rows.  A whole grid (`text_board`) or a volume
-layer is packed into one int the same way, row 0 in the top bits, with
-zero guard bits after every row, so a shift by less than a row stride
-never carries a run of ones from one row into the next.  A counter is a
-list of planes, least significant first: bit p of planes[k] is bit k of
-the count at position p.  Each helper works on every position of a row,
-layer or grid at once with a handful of big-int operations.
+column 0 in the most significant of `cols` bits, and a grid column the
+same way, row 0 on top; the helpers below take it as a row whose columns
+are the grid's rows.  A whole grid (`text_board`) or a volume layer is
+one board, in one layout: row 0 in the top bits and each row's newline
+its zero guard bit, so the stride is cols + 1 and a shift by less than a
+stride never carries a run of ones into the next row.  The board packer
+reads eight lines at a time and makes no copy the size of the text.  A
+counter is a list of planes, least significant first: bit p of planes[k]
+is bit k of the count at position p.  Each helper works on every
+position of a row, layer or grid at once with a few big-int operations.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .grid import BinaryMatrix, BinaryVolume, MatrixText, VolumeText
+from .grid import BinaryMatrix, MatrixText, VolumeText
 
-# a layer's row newlines, read as its guard bits
+# a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
 
 
@@ -48,47 +49,36 @@ def text_columns(t: MatrixText) -> Iterator[int]:
         yield int(text[j::stride], 2)
 
 
-def text_board(t: MatrixText) -> tuple[int, int]:
-    """The whole grid of `t` as one int, and its row stride in bits.
-
-    Row 0 is in the top bits and column 0 on top within its row.  Each row
-    is padded with zero guard bits to whole bytes, at least one, so the
-    stride is a multiple of 8 above cols.  The rows are written into one
-    bytearray, which is read as a single int.
+def _board(text: bytes, start: int, stop: int, stride: int) -> int:
+    """The lines of text[start:stop], `stride` bytes each with the newline
+    last, as one board.  Eight lines are exactly `stride` bytes of board,
+    so each block of eight is read on its own into one bytearray, from the
+    bottom up; a partial block sits at the top, its missing rows leading
+    zero bytes.
     """
-    size = t.cols // 8 + 1
-    pad = 8 * size - t.cols
-    board = bytearray(t.rows * size)
-    for start, row in zip(range(0, len(board), size), text_rows(t)):
-        board[start:start + size] = (row << pad).to_bytes(size, "big")
-    return int.from_bytes(board, "big"), 8 * size
+    block = 8 * stride
+    board = bytearray(-(-(stop - start) // block) * stride)
+    for hi, end in zip(range(stop, start, -block), range(len(board), 0, -stride)):
+        lines = text[max(hi - block, start):hi].translate(_GUARD)
+        board[end - stride:end] = int(lines, 2).to_bytes(stride, "big")
+    return int.from_bytes(board, "big")
+
+
+def text_board(t: MatrixText) -> int:
+    """The whole grid of `t` as one board, its rows cols + 1 bits apart."""
+    return _board(t.text, 0, len(t.text), t.cols + 1)
 
 
 def text_layers(t: VolumeText) -> Iterator[int]:
-    """Each layer of `t` as an int: row 0 in the top bits, column 0 on top
-    within its row, and a zero guard bit after every row (stride cols + 1).
-
-    Each row's newline is read as its guard bit, so a layer is one slice
-    of the text and one translate.
-    """
-    text, pitch, size = t.text, t.pitch, t.rows * (t.cols + 1)
-    for d in range(t.depth):
-        yield int(text[d * pitch:d * pitch + size].translate(_GUARD), 2)
+    """Each layer of `t` as one board, packed in place from the text."""
+    text, pitch, stride = t.text, t.pitch, t.cols + 1
+    for start in range(0, t.depth * pitch, pitch):
+        yield _board(text, start, start + t.rows * stride, stride)
 
 
 def packed_rows(m: BinaryMatrix) -> Iterator[int]:
     """`text_rows` of a BinaryMatrix."""
     return text_rows(MatrixText.of(m))
-
-
-def packed_columns(m: BinaryMatrix) -> Iterator[int]:
-    """`text_columns` of a BinaryMatrix."""
-    return text_columns(MatrixText.of(m))
-
-
-def packed_layers(v: BinaryVolume) -> Iterator[int]:
-    """`text_layers` of a BinaryVolume."""
-    return text_layers(VolumeText.of(v))
 
 
 def increment(planes: list[int], row: int) -> None:

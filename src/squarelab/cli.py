@@ -2,8 +2,8 @@
 
 Subcommands: solve, gen, verify, bench, cube, rect.  Machine-readable output
 (tables, CSV, reports) goes to stdout; diagnostics and timings go to stderr.
-Exit codes: 0 success, 1 verification finding, 2 usage or parse error,
-130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
+Exit codes: 0 success, 1 verification finding, 2 usage or parse error, 3 out
+of memory, 130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("squarelab: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        print("squarelab: out of memory", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"squarelab: {exc}", file=sys.stderr)
         return 2

@@ -405,9 +405,9 @@ class MatrixText(_Record):
 class VolumeText(_Record):
     """A volume in its file format, as bytes: depth layers of matrix text
     joined by one blank line each.  Layer d is the rows * (cols + 1) bytes
-    at d * pitch, pitch being one more, and its row newlines read as zeros
-    are the guard bits of `bitplanes.text_layers`.  Checked whole in
-    `__new__`, as MatrixText is.
+    at d * pitch, pitch being one more, which `bitplanes.text_layers` packs
+    in place as a matrix's board, row newlines read as guard bits.  Checked
+    whole in `__new__`, as MatrixText is.
     """
 
     __slots__ = ()

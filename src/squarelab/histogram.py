@@ -88,14 +88,15 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
 
     Let h(w) be the height of the tallest all-ones rectangle of width w;
     it never grows with w, and the largest area A is the largest w * h(w).
-    The grid is one int (`bitplanes.text_board`), and `runs` marks the
+    The grid is one board (`bitplanes.text_board`), whose rows are cols + 1
+    bits apart as the text's are cols + 1 bytes apart, and `runs` marks the
     cells that end a row run of w ones.  The walk takes w upward: it jumps
     to the first width at which `cap`, a bound on h(w), could reach the
     best area, tests the height that would reach it with a column erosion
-    of `runs`, and lifts the surviving windows to h(w) exactly.  When h(w)
-    is cap, it gallops the width on those windows instead, so a plateau of
-    h costs O(log w) shift-ANDs.  Every width with w * h(w) = A is met, with
-    the smallest bottom row of its rectangles as the highest bit of a mask.
+    of `runs`, and lifts the surviving windows to h(w) exactly.  When h(w) is cap, it gallops the width on
+    those windows instead, so a plateau of h costs O(log w) shift-ANDs.
+    Every width with w * h(w) = A is met, with the smallest bottom row of
+    its rectangles as the highest bit of a mask.
 
     The stack's answer is its answer on the first row i* whose histogram
     holds area A: every earlier row holds less, and no later row replaces
@@ -109,8 +110,7 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
 
 def maximal_rectangle_text(t: MatrixText) -> RectResult:
     """maximal_rectangle on a grid's text, the file's bytes for `rect`."""
-    rows, cols = t.rows, t.cols
-    runs, stride = text_board(t)
+    rows, cols, stride, runs = t.rows, t.cols, t.cols + 1, text_board(t)
     best, first, cap, w, width = 0, rows, rows, 1, 1
     while cap and runs:
         w = max(w, -(-best // cap))  # no narrower width reaches best
@@ -133,6 +133,5 @@ def maximal_rectangle_text(t: MatrixText) -> RectResult:
         best, w = w * h, w + 1
     if not best:
         return RectResult(0, 0, 0)
-    text, stride = t.text, cols + 1
     return largest_rect_in_histogram(
-        [first - text[j:(first + 1) * stride:stride].rfind(b"0") for j in range(cols)])
+        [first - t.text[j:(first + 1) * stride:stride].rfind(b"0") for j in range(cols)])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,10 +7,10 @@ from squarelab.bitplanes import (
     at_least,
     has_run,
     increment,
-    packed_columns,
-    packed_layers,
     packed_rows,
     text_board,
+    text_columns,
+    text_layers,
 )
 from squarelab.grid import (
     EMPTY_MATRIX,
@@ -18,6 +19,7 @@ from squarelab.grid import (
     BinaryVolume,
     GenSpec,
     MatrixText,
+    VolumeText,
     generate_matrix,
     generate_volume,
 )
@@ -43,6 +45,24 @@ def mask_of(columns, cols):
     return sum(1 << (cols - 1 - j) for j in columns)
 
 
+def columns_of(m):
+    return list(text_columns(MatrixText.of(m)))
+
+
+def layers_of(v):
+    return list(text_layers(VolumeText.of(v)))
+
+
+def peak_allocated(f, *args):
+    """The peak of the memory allocated while f(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_packed_rows_put_column_0_on_top():
     m = BinaryMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
     assert list(packed_rows(m)) == [0b100, 0b011, 0]
@@ -52,9 +72,9 @@ def test_packed_rows_put_column_0_on_top():
 
 def test_packed_columns_put_row_0_on_top():
     m = BinaryMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 1, 0]])
-    assert list(packed_columns(m)) == [0b1001, 0b0101, 0b0110]
-    assert list(packed_columns(BinaryMatrix(3, 0, b""))) == []
-    assert list(packed_columns(EMPTY_MATRIX)) == []
+    assert columns_of(m) == [0b1001, 0b0101, 0b0110]
+    assert columns_of(BinaryMatrix(3, 0, b"")) == []
+    assert columns_of(EMPTY_MATRIX) == []
 
 
 @pytest.mark.parametrize("rows, cols", [
@@ -64,25 +84,39 @@ def test_packed_columns_match_each_columns_text(rows, cols):
     m = generate_matrix(GenSpec(rows, cols, 0.6, rows * cols))
     text = m.to_rows()
     want = [int("".join(str(text[i][j]) for i in range(rows)), 2) for j in range(cols)]
-    assert list(packed_columns(m)) == want
+    assert columns_of(m) == want
 
 
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 16, 65])
-def test_text_board_pads_every_row_to_whole_bytes(cols):
-    # at least one zero guard bit after every row, even at a multiple of 8
-    m = generate_matrix(GenSpec(5, cols, 0.7, cols)) if cols else BinaryMatrix(5, 0, b"")
-    board, stride = text_board(MatrixText.of(m))
-    assert stride % 8 == 0 and cols < stride <= cols + 8
-    want = "".join(format(row, f"0{cols}b") + "0" * (stride - cols) if cols else "0" * stride
-                   for row in packed_rows(m))
-    assert board == int(want or "0", 2)
+def test_text_board_reads_each_newline_as_a_guard_bit(cols):
+    # eight lines are packed at a time: 1 and 7 rows are one partial block,
+    # 8 one whole block, and 9 and 17 whole blocks under a partial one
+    for rows in (1, 7, 8, 9, 17):
+        m = generate_matrix(GenSpec(rows, cols, 0.7, cols)) if cols else BinaryMatrix(rows, 0, b"")
+        t = MatrixText.of(m)
+        assert text_board(t) == int(t.text.translate(bytes.maketrans(b"\n", b"0")), 2)
+    assert text_board(MatrixText.of(EMPTY_MATRIX)) == 0
+
+
+# a board is an eighth of its text, and the packer holds at most three
+# boards at once (its bytearray, the copy int.from_bytes makes of it and the
+# int), so a copy of the text, or of a layer, breaks the bound
+@pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (250, 4000)])
+def test_text_board_makes_no_copy_of_the_text(rows, cols):
+    t = MatrixText.of(generate_matrix(GenSpec(rows, cols, 0.5, rows)))
+    assert peak_allocated(text_board, t) < len(t.text) // 2
+
+
+def test_text_layers_make_no_copy_of_a_layer():
+    t = VolumeText.of(generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)))
+    assert peak_allocated(lambda t: list(text_layers(t)), t) < len(t.text) // 2
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():
     v = BinaryVolume.from_layers([BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]]),
                                   BinaryMatrix.from_rows([[1, 1, 1], [1, 1, 1]])])
-    assert list(packed_layers(v)) == [0b1010_0110, 0b1110_1110]
-    assert list(packed_layers(EMPTY_VOLUME)) == []
+    assert layers_of(v) == [0b1010_0110, 0b1110_1110]
+    assert layers_of(EMPTY_VOLUME) == []
 
 
 @pytest.mark.parametrize("depth, rows, cols", [(3, 4, 5), (2, 1, 9), (1, 1, 70), (9, 2, 1)])
@@ -91,7 +125,7 @@ def test_packed_layers_match_the_row_text(depth, rows, cols):
     v = generate_volume(GenSpec(rows, cols, 0.6, depth, depth=depth))
     want = [int("".join(format(row, f"0{cols}b") + "0" for row in packed_rows(v.layer(d))), 2)
             for d in range(depth)]
-    assert list(packed_layers(v)) == want
+    assert layers_of(v) == want
 
 
 def test_increment_extends_runs_and_resets_under_zeros():

@@ -434,6 +434,38 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
     assert err == "squarelab: interrupted\n"
 
 
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "rect", out_of_memory)
+    assert run(capsys, "rect", "-") == (3, "", "squarelab: out of memory\n")
+
+
+# the child limits its own address space to its size after the imports plus
+# MARGIN, which holds the file once but not the checked copy of it
+OOM_CHILD = """
+import resource, sys
+from squarelab import cli, histogram
+MARGIN = 20 << 20
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + MARGIN, hard))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_running_out_of_memory_exits_3(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes((b"1" * 4000 + b"\n") * 3000)  # 12 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", OOM_CHILD, "rect", str(path)],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"squarelab: out of memory\n")
+
+
 def test_solve_dp_flags_run_the_bench_baselines():
     # SOLVE_ALGOS looks the solvers up by name; BASELINES keys are those names
     for flag, name in cli.BASELINE_FLAGS.items():

@@ -170,6 +170,17 @@ def test_word_edge_widths(cols):
         assert max_cube(v).side == brute_force_cube(v).side == reference_sweep(v)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
+def test_layers_of_whole_and_partial_eight_row_blocks(rows):
+    # text_layers packs eight rows at a time, a partial block on top
+    rng = random.Random(rows)
+    for _ in range(25):
+        spec = GenSpec(rows, rng.randint(1, 20), rng.choice((0.8, 0.95, 1.0)),
+                       rng.getrandbits(32), depth=rng.randint(1, 20))
+        v = generate_volume(spec)
+        assert max_cube(v) == CubeResult(reference_sweep(v), v.depth * v.rows * v.cols)
+
+
 def test_all_ones_cubes():
     for n in range(1, 13):
         v = BinaryVolume(n, n, n, b"\x01" * n**3)

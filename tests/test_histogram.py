@@ -132,12 +132,14 @@ def test_maximal_rectangle_every_matrix_up_to_4x4():
 
 @pytest.mark.parametrize("cols", [7, 8, 9, 15, 16, 17, 63, 64, 65])
 def test_maximal_rectangle_across_word_boundaries(cols):
-    # each row is padded to whole bytes with at least one guard bit, so a
-    # multiple of 8 columns takes a whole byte of guard bits
+    # the board packs eight rows at a time, so 1 and 7 rows are one partial
+    # block, 8, 16 and 40 whole blocks, and 9, 15 and 17 a partial block on
+    # top of whole ones
     rng = random.Random(cols)
-    for density in (0.5, 0.8, 0.95, 1.0):
-        m = generate_matrix(GenSpec(40, cols, density, rng.getrandbits(32)))
-        assert maximal_rectangle(m) == stack_rectangle(m)
+    for rows in (1, 7, 8, 9, 15, 16, 17, 40):
+        for density in (0.5, 0.8, 0.95, 1.0):
+            m = generate_matrix(GenSpec(rows, cols, density, rng.getrandbits(32)))
+            assert maximal_rectangle(m) == stack_rectangle(m)
 
 
 @pytest.mark.parametrize("rows, cols", [
