@@ -1,5 +1,6 @@
 """Bit-sliced counters and whole-grid bitboards on Python ints, shared by
-the square, rectangle and cube kernels.
+the square, rectangle and cube kernels, and `sweep`, the one frequency
+sweep that freq_bits and max_cube run.
 
 The packers read a grid's '0'/'1' text (`grid.MatrixText` and
 `grid.VolumeText`): a file's own bytes, or a BinaryMatrix's or
@@ -18,9 +19,9 @@ position of a row, layer or grid at once with a few big-int operations.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .grid import BinaryMatrix, MatrixText, VolumeText
+from .grid import MatrixText, VolumeText
 
 # a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
@@ -76,11 +77,6 @@ def text_layers(t: VolumeText) -> Iterator[int]:
         yield _board(text, start, start + t.rows * stride, stride)
 
 
-def packed_rows(m: BinaryMatrix) -> Iterator[int]:
-    """`text_rows` of a BinaryMatrix."""
-    return text_rows(MatrixText.of(m))
-
-
 def increment(planes: list[int], row: int) -> None:
     """Add one to every column under a set bit of `row`, reset the others.
 
@@ -131,3 +127,33 @@ def has_run(mask: int, w: int, unit: int = 1, have: int = 1) -> int:
         mask &= mask >> step * unit
         width += step
     return mask
+
+
+def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[int, int]:
+    """The paper's frequency sweep: the largest side of an all-ones square
+    (boards are a grid's lines) or cube (boards are a volume's layers), and
+    the number of counter planes it ends with.
+
+    The counter holds, at every position, the run of ones ending at the
+    current board.  A square of side s ending at line i contains one of side
+    s - 1 ending at line i - 1, and a cube of side s ending at layer d one
+    of side s - 1 ending at layer d - 1, so the best side grows by at most
+    one per board and after each board the only side worth testing is
+    t = best + 1.  The positions whose run is at least t form a mask, and a
+    window of side t exists iff eroding it by t along each of `units` (1
+    along a line; 1, then the stride cols + 1, across a layer) leaves a bit
+    set: erosion by a box separates into one per axis (Serra 1982).  Once
+    best reaches `limit`, the largest side the boards can hold, no further
+    board is read.
+    """
+    planes: list[int] = []
+    best = 0
+    boards = iter(boards)
+    while best < limit and (board := next(boards, None)) is not None:
+        increment(planes, board)
+        mask = at_least(planes, best + 1, board)
+        for unit in units:
+            mask = has_run(mask, best + 1, unit)
+        if mask:
+            best += 1
+    return best, len(planes)

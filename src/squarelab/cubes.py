@@ -2,10 +2,8 @@
 
 A depth-frequency matrix counts consecutive ones along the depth axis per
 (row, col).  A k x k window of counts >= k at depth d certifies a cube of
-side k ending there.  One sweep over the layers finds the largest side: a
-cube of side s ending at depth d contains one of side s-1 ending at depth
-d-1, so the best side grows by at most one per layer, the same monotone
-argument the frequency solver uses for its thresholds.
+side k ending there.  One sweep over the layers finds the largest side,
+testing one side per layer, by the invariant `bitplanes.sweep` states.
 
 max_cube runs that sweep on whole-layer bitboards: the counts are a
 bit-sliced counter over each packed layer, and the k x k window test is a
@@ -17,7 +15,7 @@ as freq_square is for freq_bits.
 
 from __future__ import annotations
 
-from .bitplanes import at_least, has_run, increment, text_layers
+from .bitplanes import sweep, text_layers
 from .grid import BinaryMatrix, BinaryVolume, OracleCapExceededError, VolumeText, _Result
 
 CUBE_ORACLE_CELL_CAP = 4096
@@ -62,7 +60,8 @@ class DepthFreqMatrix:
 class CubeResult(_Result):
     """Maximal cube side plus the count of volume-cell reads performed.
 
-    For max_cube, volume_visited == depth * rows * cols: one read per voxel.
+    For max_cube, volume_visited == depth * rows * cols: the voxels the read
+    checks.
     """
 
     __slots__ = ()
@@ -113,37 +112,22 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 def max_cube(v: BinaryVolume) -> CubeResult:
     """Largest all-ones cube side in one sweep over whole-layer bitboards.
 
-    A cube of side s ending at depth d contains a cube of side s-1 ending at
-    depth d-1, so by induction best is at least s-1 once layer d-1 is
-    applied.  The best side therefore grows by at most one per layer, and
-    after applying layer d the only side worth checking is t = best + 1.
-
     Each layer is one int with a guard bit after every row (see
-    bitplanes.text_layers), and the depth runs are a bit-sliced counter
-    over it.  The positions whose run is at least t form a mask, and a t x t
-    window of them exists iff eroding the mask by t along rows (shift unit
-    1) and then by t along columns (shift unit cols + 1) leaves a bit set.
-    Both erosions take about log2(t) shift-ANDs.  Each voxel is read
-    exactly once, by the packing: volume_visited == depth * rows * cols.
-    DepthFreqMatrix, depth_freq_update and exists_cube_at_depth are the
-    per-voxel reference this sweep is tested against.
+    bitplanes.text_layers), and the layers go through `bitplanes.sweep`,
+    which states why one test per layer, at t = best + 1, suffices.  The
+    positions whose depth run is at least t are eroded by t along rows
+    (shift unit 1) and then along columns (shift unit cols + 1); a bit left
+    over is a t x t x t cube.  volume_visited counts the voxels the read
+    checks, depth * rows * cols.  DepthFreqMatrix, depth_freq_update and
+    exists_cube_at_depth are the per-voxel reference this sweep is tested
+    against.
     """
     return max_cube_text(VolumeText.of(v))
 
 
 def max_cube_text(v: VolumeText) -> CubeResult:
     """max_cube on a volume's text, the file's bytes for `cube`."""
-    limit, stride = min(v.rows, v.cols), v.cols + 1
-    planes: list[int] = []
-    best = 0
-    for layer in text_layers(v):
-        if best == limit:
-            break
-        increment(planes, layer)
-        t = best + 1
-        rows_ok = has_run(at_least(planes, t, layer), t)
-        if has_run(rows_ok, t, stride):
-            best = t
+    best = sweep(text_layers(v), (1, v.cols + 1), min(v.rows, v.cols))[0]
     return CubeResult(best, v.depth * v.rows * v.cols)
 
 

@@ -3,7 +3,9 @@
 Four independent routes to the same answer: a frequency-tracking single-pass
 algorithm, the classic full-table DP recurrence, its row-rolling O(cols)-space
 variant, and a direct window-checking oracle.  A fifth, freq_bits, runs the
-frequency algorithm a whole row at a time on bit masks.  Every solver reports
+frequency algorithm a whole row at a time on bit masks, through
+`bitplanes.sweep`, whose docstring gives the invariant all three frequency
+sweeps (freq_square, freq_bits and max_cube) rest on.  Every solver reports
 how many cells it visited, and solvers can account their auxiliary
 allocations to an AllocationAudit, so the single-pass and bounded-space
 claims are testable rather than taken on faith.
@@ -11,9 +13,9 @@ claims are testable rather than taken on faith.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
-from .bitplanes import at_least, has_run, increment, packed_rows, text_columns, text_rows
+from .bitplanes import sweep, text_columns, text_rows
 # the oracle cap and its error live in grid, so that `cube` can raise it
 # without loading this module; they stay importable from here
 from .grid import ORACLE_CELL_CAP, BinaryMatrix, MatrixText, OracleCapExceededError, _Result
@@ -151,43 +153,24 @@ def freq_square_traced(
     return result, snapshots
 
 
-def _bits_side(lines: Iterable[int], n: int, audit: AllocationAudit | None) -> int:
-    """freq_bits' sweep over packed lines of n bits: the largest side."""
-    words = (n + 63) // 64
-    if audit is not None:
-        audit.add(words)  # the packed line
-    planes: list[int] = []
-    best = 0
-    for line in lines:
-        depth = len(planes)
-        increment(planes, line)
-        if audit is not None and len(planes) > depth:
-            audit.add(words)
-        if has_run(at_least(planes, best + 1, line), best + 1):
-            best += 1
-    return best
-
-
 def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:
     """freq_square's threshold raising, one whole row at a time on bit masks.
 
-    Each row is packed into an int.  The per-column runs are a bit-sliced
-    counter (see `bitplanes`): planes[k] holds bit k of every column's run,
-    and a ripple-carry increment masked by the row extends runs under ones
-    and resets them under zeros.  With t = best + 1, an MSB-first comparison
-    gives the mask of columns whose run is at least t, and about log2(t)
-    shift-ANDs test it for t consecutive set bits.  One test per row
-    suffices: a square of side s ending at row i contains one of side s - 1
-    ending at row i - 1, so best grows by at most one per row.  Packing
-    reads each cell once, so cells_visited == rows * cols; the audit counts
-    64-bit words.
+    Each row is packed into an int and the rows go through
+    `bitplanes.sweep`, which states why one test per row suffices: the
+    per-column runs are a bit-sliced counter, and the columns whose run is
+    at least best + 1 are tested for that many consecutive set bits.
+    cells_visited counts the cells the read checks, rows * cols; the audit
+    counts 64-bit words (the packed row and the counter planes).
 
     This always sweeps the rows, so the counter holds O(cols log rows)
     words, the paper's O(n) space; sweeping the columns of a tall matrix
     would hold O(rows log cols).  `freq_bits_text`, which `solve` runs on a
     file already held in memory whole, sweeps the shorter axis instead.
     """
-    best = _bits_side(packed_rows(m), m.cols, audit)
+    best, planes = sweep(text_rows(MatrixText.of(m)), (1,), min(m.rows, m.cols))
+    if audit is not None:
+        audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)
 
 
@@ -195,10 +178,8 @@ def freq_bits_text(t: MatrixText) -> SquareResult:
     """freq_bits on a grid's text, sweeping its shorter axis: the rows when
     rows <= cols, else the columns.  A square's side is the same on the
     transpose, so the answer is freq_bits' either way."""
-    if t.rows <= t.cols:
-        best = _bits_side(text_rows(t), t.cols, None)
-    else:
-        best = _bits_side(text_columns(t), t.rows, None)
+    lines = text_rows(t) if t.rows <= t.cols else text_columns(t)
+    best = sweep(lines, (1,), min(t.rows, t.cols))[0]
     return SquareResult(best, best * best, t.rows * t.cols)
 
 

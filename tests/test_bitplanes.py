@@ -7,10 +7,11 @@ from squarelab.bitplanes import (
     at_least,
     has_run,
     increment,
-    packed_rows,
+    sweep,
     text_board,
     text_columns,
     text_layers,
+    text_rows,
 )
 from squarelab.grid import (
     EMPTY_MATRIX,
@@ -45,6 +46,10 @@ def mask_of(columns, cols):
     return sum(1 << (cols - 1 - j) for j in columns)
 
 
+def rows_of(m):
+    return list(text_rows(MatrixText.of(m)))
+
+
 def columns_of(m):
     return list(text_columns(MatrixText.of(m)))
 
@@ -65,9 +70,9 @@ def peak_allocated(f, *args):
 
 def test_packed_rows_put_column_0_on_top():
     m = BinaryMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
-    assert list(packed_rows(m)) == [0b100, 0b011, 0]
-    assert list(packed_rows(BinaryMatrix(3, 0, b""))) == []
-    assert list(packed_rows(EMPTY_MATRIX)) == []
+    assert rows_of(m) == [0b100, 0b011, 0]
+    assert rows_of(BinaryMatrix(3, 0, b"")) == []
+    assert rows_of(EMPTY_MATRIX) == []
 
 
 def test_packed_columns_put_row_0_on_top():
@@ -123,9 +128,29 @@ def test_packed_layers_end_every_row_with_a_guard_bit():
 def test_packed_layers_match_the_row_text(depth, rows, cols):
     # (1, 1, 70) and (2, 1, 9) are wider than the volume has rows
     v = generate_volume(GenSpec(rows, cols, 0.6, depth, depth=depth))
-    want = [int("".join(format(row, f"0{cols}b") + "0" for row in packed_rows(v.layer(d))), 2)
+    want = [int("".join(format(row, f"0{cols}b") + "0" for row in rows_of(v.layer(d))), 2)
             for d in range(depth)]
     assert layers_of(v) == want
+
+
+def test_sweep_reads_no_board_past_its_limit():
+    taken = []
+
+    def boards(board, n):
+        for _ in range(n):
+            taken.append(board)
+            yield board
+
+    # all-ones 1000x4 rows reach side 4 on the fourth row, with runs of 4
+    assert sweep(boards(0b1111, 1000), (1,), 4) == (4, 3)
+    assert len(taken) == 4
+    # all-ones 2x2 layers, stride 3, reach side 2 on the second layer
+    taken.clear()
+    assert sweep(boards(0b110_110, 1000), (1, 3), 2) == (2, 2)
+    assert len(taken) == 2
+    taken.clear()
+    assert sweep(boards(0b1, 10), (1,), 0) == (0, 0)
+    assert taken == []
 
 
 def test_increment_extends_runs_and_resets_under_zeros():

@@ -348,6 +348,10 @@ def test_freq_bits_constant_and_degenerate_shapes():
     audit = AllocationAudit()
     assert freq_bits(BinaryMatrix(3, 0, b""), audit=audit) == SquareResult(0, 0, 0)
     assert audit.peak_elements == 0
+    # the sweep stops at side 4 after four rows: three planes and the row
+    audit = AllocationAudit()
+    assert freq_bits(BinaryMatrix(1000, 4, ones * 4000), audit=audit).side == 4
+    assert audit.peak_elements == 4
 
 
 @pytest.mark.parametrize("rows, cols, density", [
