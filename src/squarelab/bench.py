@@ -13,12 +13,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .core import PlotTarget
 from .grid import (
     EDGE_SIZES,
     BinaryMatrix,
     EdgeKind,
     GenSpec,
-    PlotTarget,
     generate_edge_case,
     generate_matrix,
 )

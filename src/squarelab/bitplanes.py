@@ -1,9 +1,11 @@
 """Bit-sliced counters and whole-grid bitboards on Python ints, shared by
-the square, rectangle and cube kernels, and `sweep`, the one frequency
-sweep that freq_bits and max_cube run.
+the square, rectangle and cube kernels; `sweep`, the one frequency sweep
+that freq_bits and max_cube run; and the two kernels `solve` and `cube`
+run on a file's text, `freq_bits_text` and `max_cube_text`, each one
+`sweep`, kept here so that neither subcommand loads `squares` or `cubes`.
 
-The packers read a grid's '0'/'1' text (`grid.MatrixText` and
-`grid.VolumeText`): a file's own bytes, or a BinaryMatrix's or
+The packers read a grid's '0'/'1' text (`core.MatrixText` and
+`core.VolumeText`): a file's own bytes, or a BinaryMatrix's or
 BinaryVolume's cells translated once.  A grid row is packed into one int,
 column 0 in the most significant of `cols` bits, and a grid column the
 same way, row 0 on top; the helpers below take it as a row whose columns
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .grid import MatrixText, VolumeText
+from .core import CubeResult, MatrixText, SquareResult, VolumeText
 
 # a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
@@ -157,3 +159,18 @@ def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[in
         if mask:
             best += 1
     return best, len(planes)
+
+
+def freq_bits_text(t: MatrixText) -> SquareResult:
+    """squares.freq_bits on a grid's text, sweeping its shorter axis: the
+    rows when rows <= cols, else the columns.  A square's side is the same
+    on the transpose, so the answer is freq_bits' either way."""
+    lines = text_rows(t) if t.rows <= t.cols else text_columns(t)
+    best = sweep(lines, (1,), min(t.rows, t.cols))[0]
+    return SquareResult(best, best * best, t.rows * t.cols)
+
+
+def max_cube_text(v: VolumeText) -> CubeResult:
+    """cubes.max_cube on a volume's text, the file's bytes for `cube`."""
+    best = sweep(text_layers(v), (1, v.cols + 1), min(v.rows, v.cols))[0]
+    return CubeResult(best, v.depth * v.rows * v.cols)

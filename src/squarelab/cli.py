@@ -15,22 +15,11 @@ from math import isqrt
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .grid import (
-    ORACLE_CELL_CAP,
-    BinaryMatrix,
-    GenSpec,
-    MatrixParseError,
-    PlotTarget,
-    generate_matrix,
-    generate_volume,
-    read_matrix,
-    read_volume,
-    serialize_matrix,
-    serialize_volume,
-)
+from .core import ORACLE_CELL_CAP, MatrixParseError, PlotTarget, read_matrix, read_volume
 
 if TYPE_CHECKING:
-    from .squares import SquareResult
+    from .core import SquareResult
+    from .grid import BinaryMatrix
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -43,7 +32,9 @@ DP2D_CELL_CAP = 1_000_000
 
 def _squares_solver(name: str) -> Callable[[BinaryMatrix], SquareResult]:
     """The solver `squares.<name>`, imported on its first call, so that only
-    `solve` loads squares."""
+    `solve --algo freq|dp|dp2d|brute` loads squares (and grid, for the
+    BinaryMatrix it takes); the default `bits` runs
+    `bitplanes.freq_bits_text` on the file's text instead."""
 
     def solve(m: BinaryMatrix) -> SquareResult:
         from . import squares
@@ -53,8 +44,8 @@ def _squares_solver(name: str) -> Callable[[BinaryMatrix], SquareResult]:
     return solve
 
 
-# `solve --algo` flag -> solver; `bits` runs as squares.freq_bits_text on the
-# file's text, the others on the BinaryMatrix made from it
+# `solve --algo` flag -> solver; `bits` runs as bitplanes.freq_bits_text on
+# the file's text, the others on the BinaryMatrix made from it
 SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
     flag: _squares_solver(name) for flag, name in (
         ("bits", "freq_bits"),
@@ -69,7 +60,7 @@ DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 def _read_bytes(path: str | None) -> bytes:
     # stdin and files are both read as bytes, whatever the locale, so a '\r'
-    # or a non-ASCII byte reaches grid's checks and the line parser, which
+    # or a non-ASCII byte reaches core's checks and the line parser, which
     # names its line
     if path is None or path == "-":
         return sys.stdin.buffer.read()
@@ -150,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args: argparse.Namespace) -> int:
     grid = read_matrix(_read_bytes(args.path))
     if args.algo == "bits":
-        from .squares import freq_bits_text
+        from .bitplanes import freq_bits_text
 
         result = freq_bits_text(grid)
     else:
@@ -164,6 +155,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .grid import (
+        GenSpec,
+        generate_matrix,
+        generate_volume,
+        serialize_matrix,
+        serialize_volume,
+    )
+
     spec = GenSpec(args.rows, args.cols, args.density, args.seed, depth=args.depth)
     if args.depth is None:
         text = serialize_matrix(generate_matrix(spec))
@@ -254,12 +253,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
-    from .cubes import brute_force_cube, max_cube_text
-
     grid = read_volume(_read_bytes(args.path))
     if args.algo == "freq":
+        from .bitplanes import max_cube_text
+
         result = max_cube_text(grid)
     else:
+        from .cubes import brute_force_cube
+
         result = brute_force_cube(grid.volume())
     print(f"side={result.side}")
     return 0

@@ -7,7 +7,8 @@ testing one side per layer, by the invariant `bitplanes.sweep` states.
 
 max_cube runs that sweep on whole-layer bitboards: the counts are a
 bit-sliced counter over each packed layer, and the k x k window test is a
-row erosion followed by a column erosion of the thresholded mask.
+row erosion followed by a column erosion of the thresholded mask.  Its form
+on a file's text, `bitplanes.max_cube_text`, is what `cube` runs.
 DepthFreqMatrix, depth_freq_update and exists_cube_at_depth do the same
 one voxel at a time; they are the reference max_cube is tested against,
 as freq_square is for freq_bits.
@@ -15,8 +16,11 @@ as freq_square is for freq_bits.
 
 from __future__ import annotations
 
-from .bitplanes import sweep, text_layers
-from .grid import BinaryMatrix, BinaryVolume, OracleCapExceededError, VolumeText, _Result
+# max_cube_text and CubeResult live in bitplanes and core, so that `cube`
+# runs them without loading this module; they stay importable from here
+from .bitplanes import max_cube_text
+from .core import CubeResult, OracleCapExceededError, VolumeText
+from .grid import BinaryMatrix, BinaryVolume
 
 CUBE_ORACLE_CELL_CAP = 4096
 
@@ -55,21 +59,6 @@ class DepthFreqMatrix:
 
     def get(self, i: int, j: int) -> int:
         return self.values[i * self.cols + j]
-
-
-class CubeResult(_Result):
-    """Maximal cube side plus the count of volume-cell reads performed.
-
-    For max_cube, volume_visited == depth * rows * cols: the voxels the read
-    checks.
-    """
-
-    __slots__ = ()
-    side: int
-    volume_visited: int
-
-    def __new__(cls, side: int, volume_visited: int) -> CubeResult:
-        return tuple.__new__(cls, (side, volume_visited))
 
 
 def depth_freq_update(f: DepthFreqMatrix, layer: BinaryMatrix) -> DepthFreqMatrix:
@@ -123,12 +112,6 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     against.
     """
     return max_cube_text(VolumeText.of(v))
-
-
-def max_cube_text(v: VolumeText) -> CubeResult:
-    """max_cube on a volume's text, the file's bytes for `cube`."""
-    best = sweep(text_layers(v), (1, v.cols + 1), min(v.rows, v.cols))[0]
-    return CubeResult(best, v.depth * v.rows * v.cols)
 
 
 def brute_force_cube(v: BinaryVolume) -> CubeResult:

@@ -8,26 +8,23 @@ runs the stack once, on the row where the row-by-row sweep would have met
 that area, so the answer, ties included, is the row-wise stack's.  Serves
 as the comparison point for the square solvers (every square is a
 rectangle).
+
+`rect` runs `maximal_rectangle_text` on a file's bytes, so this module
+loads only `bitplanes` and `core`, not `grid`; RectResult is defined in
+`core` and importable from here.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .bitplanes import has_run, text_board
-from .grid import BinaryMatrix, MatrixText, _Result
+from .core import MatrixText, RectResult
+
+if TYPE_CHECKING:
+    from .grid import BinaryMatrix
 
 Histogram = list[int]
-
-
-class RectResult(_Result):
-    """Largest rectangle: area == height * width, all zero when no ones exist."""
-
-    __slots__ = ()
-    area: int
-    height: int
-    width: int
-
-    def __new__(cls, area: int, height: int, width: int) -> RectResult:
-        return tuple.__new__(cls, (area, height, width))
 
 
 def build_histograms(m: BinaryMatrix) -> list[Histogram]:

@@ -9,28 +9,28 @@ sweeps (freq_square, freq_bits and max_cube) rest on.  Every solver reports
 how many cells it visited, and solvers can account their auxiliary
 allocations to an AllocationAudit, so the single-pass and bounded-space
 claims are testable rather than taken on faith.
+
+`solve` by default runs neither this module nor `grid`: it runs
+`bitplanes.freq_bits_text` on the file's text and returns a SquareResult,
+defined in `core`.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .bitplanes import sweep, text_columns, text_rows
-# the oracle cap and its error live in grid, so that `cube` can raise it
-# without loading this module; they stay importable from here
-from .grid import ORACLE_CELL_CAP, BinaryMatrix, MatrixText, OracleCapExceededError, _Result
-
-
-class SquareResult(_Result):
-    """Maximal-square answer plus the solver's cell-visit count."""
-
-    __slots__ = ()
-    side: int
-    area: int
-    cells_visited: int
-
-    def __new__(cls, side: int, area: int, cells_visited: int) -> SquareResult:
-        return tuple.__new__(cls, (side, area, cells_visited))
+# freq_bits_text, SquareResult, the oracle cap and its error live in
+# bitplanes and core, so that `solve` and `cube` run them without loading
+# this module; they stay importable from here
+from .bitplanes import freq_bits_text, sweep, text_rows
+from .core import (
+    ORACLE_CELL_CAP,
+    MatrixText,
+    OracleCapExceededError,
+    SquareResult,
+    _Result,
+)
+from .grid import BinaryMatrix
 
 
 class FreqState(_Result):
@@ -165,22 +165,14 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
 
     This always sweeps the rows, so the counter holds O(cols log rows)
     words, the paper's O(n) space; sweeping the columns of a tall matrix
-    would hold O(rows log cols).  `freq_bits_text`, which `solve` runs on a
-    file already held in memory whole, sweeps the shorter axis instead.
+    would hold O(rows log cols).  `bitplanes.freq_bits_text`, which `solve`
+    runs on a file already held in memory whole, sweeps the shorter axis
+    instead.
     """
     best, planes = sweep(text_rows(MatrixText.of(m)), (1,), min(m.rows, m.cols))
     if audit is not None:
         audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)
-
-
-def freq_bits_text(t: MatrixText) -> SquareResult:
-    """freq_bits on a grid's text, sweeping its shorter axis: the rows when
-    rows <= cols, else the columns.  A square's side is the same on the
-    transpose, so the answer is freq_bits' either way."""
-    lines = text_rows(t) if t.rows <= t.cols else text_columns(t)
-    best = sweep(lines, (1,), min(t.rows, t.cols))[0]
-    return SquareResult(best, best * best, t.rows * t.cols)
 
 
 def dp_full(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareResult:

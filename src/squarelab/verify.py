@@ -13,6 +13,7 @@ import random
 import time
 from typing import Callable
 
+from .core import _Result
 from .grid import (
     _TO_BITS,
     _TO_TEXT,
@@ -21,7 +22,6 @@ from .grid import (
     BinaryMatrix,
     EdgeKind,
     GenSpec,
-    _Result,
     generate_edge_case,
     generate_matrix,
     serialize_matrix,

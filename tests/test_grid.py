@@ -1,10 +1,12 @@
 import copy
+import copyreg
 import inspect
 import pickle
 import random
 
 import pytest
 
+from squarelab.core import CubeResult, RectResult, SquareResult
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -294,12 +296,18 @@ def test_grid_constructor_takes_the_fields_by_name(cls):
 
 
 def test_grid_values_have_no_unvalidated_constructor():
-    m = BinaryMatrix(1, 1, b"\x01")
-    assert not hasattr(m, "_replace") and not hasattr(BinaryMatrix, "_make")
-    # pickling and copying rebuild the value through __new__, which validates
-    assert m.__reduce_ex__(2)[1] == (BinaryMatrix, 1, 1, b"\x01")
-    assert pickle.loads(pickle.dumps(m)) == m
-    assert copy.copy(m) == m and copy.deepcopy(m) == m
+    values = [BinaryMatrix(1, 1, b"\x01"), SquareResult(2, 4, 9), RectResult(6, 2, 3),
+              CubeResult(2, 8)]
+    for value in values:
+        cls = type(value)
+        assert not hasattr(value, "_replace") and not hasattr(cls, "_make")
+        # pickling and copying rebuild the value through __new__, which validates
+        rebuild, args = value.__reduce_ex__(2)[:2]
+        assert rebuild is copyreg.__newobj__ and args == (cls, *value)
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+    with pytest.raises(ValueError, match="cell count"):
+        copyreg.__newobj__(BinaryMatrix, 1, 1, b"")
 
 
 def test_grid_values_compare_as_tuples():
@@ -362,9 +370,16 @@ def test_volume_text_checks_its_text(fields):
 
 
 def test_grid_text_rebuilds_through_the_check():
-    t = read_matrix(b"10\n01\n")
-    assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
-    assert t.__reduce_ex__(2)[1] == (MatrixText, b"10\n01\n", 2, 2)
+    for t in read_matrix(b"10\n01\n"), read_volume(b"10\n01\n\n11\n11\n"):
+        assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
+        rebuild, args = t.__reduce_ex__(2)[:2]
+        assert rebuild is copyreg.__newobj__ and args == (type(t), *t)
+    # the arguments go through __new__'s check, so a text that is not the
+    # shape it claims does not unpickle
+    with pytest.raises(ValueError, match="not 2 lines"):
+        copyreg.__newobj__(MatrixText, b"10\n0x\n", 2, 2)
+    with pytest.raises(ValueError, match="not 2 layers"):
+        copyreg.__newobj__(VolumeText, b"10\n01\n\n11\n1\n\n", 2, 2, 2)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4)])

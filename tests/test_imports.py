@@ -59,12 +59,17 @@ ALL = [
 ]
 
 
+def run_fresh(tmp_path, *argv):
+    """Run argv in a fresh interpreter, in tmp_path, on this squarelab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def loaded_modules(tmp_path, *argv):
     """Every module a fresh interpreter imports to run argv, read from the
     `-X importtime` report on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_fresh(tmp_path, "-X", "importtime", *argv)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -80,19 +85,59 @@ def test_import_alone_loads_no_submodule(tmp_path):
     assert loaded_submodules(tmp_path, "-c", "import squarelab") == set()
 
 
+# subcommand, its input, and every squarelab submodule it loads: no grid,
+# squares or cubes, whose source a run with no bytecode would compile
 HOT_PATHS = [
-    ("solve", "110\n111\n011\n", {"bench", "cubes", "histogram", "verify"}),
-    ("rect", "110\n111\n011\n", {"bench", "cubes", "squares", "verify"}),
-    ("cube", "11\n11\n\n11\n11\n", {"bench", "histogram", "squares", "verify"}),
+    ("solve", "110\n111\n011\n", {"cli", "core", "bitplanes"}),
+    ("rect", "110\n111\n011\n", {"cli", "core", "bitplanes", "histogram"}),
+    ("cube", "11\n11\n\n11\n11\n", {"cli", "core", "bitplanes"}),
 ]
 
 
-@pytest.mark.parametrize("command, text, unused", HOT_PATHS, ids=["solve", "rect", "cube"])
-def test_subcommand_loads_only_what_it_runs(tmp_path, command, text, unused):
+@pytest.mark.parametrize("command, text, modules", HOT_PATHS, ids=["solve", "rect", "cube"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, command, text, modules):
     (tmp_path / "in.txt").write_text(text)
-    loaded = loaded_submodules(tmp_path, "-m", "squarelab", command, "in.txt")
-    assert "cli" in loaded
-    assert not loaded & unused
+    assert loaded_submodules(tmp_path, "-m", "squarelab", command, "in.txt") == modules
+
+
+# the other algorithms take a BinaryMatrix or BinaryVolume, so they load grid,
+# and the module of their solver, only when they run
+@pytest.mark.parametrize("argv, text, answer, modules", [
+    (["solve", "--algo", "freq"], "110\n111\n011\n", "side=2 area=4\n",
+     {"cli", "core", "bitplanes", "grid", "squares"}),
+    (["cube", "--algo", "brute"], "11\n11\n\n11\n11\n", "side=2\n",
+     {"cli", "core", "bitplanes", "grid", "cubes"}),
+], ids=["solve-freq", "cube-brute"])
+def test_other_algorithms_load_grid_when_they_run(tmp_path, argv, text, answer, modules):
+    (tmp_path / "in.txt").write_text(text)
+    proc = run_fresh(tmp_path, "-m", "squarelab", *argv, "in.txt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer, "")
+    assert loaded_submodules(tmp_path, "-m", "squarelab", *argv, "in.txt") == modules
+
+
+# a file the bulk check rejects goes to grid's line parser, which core imports
+# only then; in-process tests have grid loaded already, so these run fresh
+MALFORMED = [
+    ("solve", b"110\n10\n011\n", "(line 2): line 2 has 2 cells, expected 3"),
+    ("solve", b"110\n1\xff1\n", "(line 2): invalid character '\\udcff' at line 2"),
+    ("solve", b"110\n\n011\n", "(line 2): line 2 is blank; a matrix has no blank lines"),
+    ("rect", b"110\n10\n011\n", "(line 2): line 2 has 2 cells, expected 3"),
+    ("rect", b"110\n1\xff1\n", "(line 2): invalid character '\\udcff' at line 2"),
+    ("rect", b"110\n\n011\n", "(line 2): line 2 is blank; a matrix has no blank lines"),
+    ("cube", b"11\n11\n\n11\n1\n", "(line 5): line 5 has 1 cells, expected 2"),
+    ("cube", b"11\n1\xff\n", "(line 2): invalid character '\\udcff' at line 2"),
+    ("cube", b"11\n11\n\n\n11\n11\n", "(line 4): empty layer before line 4"),
+]
+
+
+@pytest.mark.parametrize("command, data, error", MALFORMED,
+                         ids=[f"{c}-{k}" for c in ("solve", "rect", "cube")
+                              for k in ("ragged", "byte", "blank")])
+def test_malformed_file_fails_the_same_in_a_fresh_process(tmp_path, command, data, error):
+    (tmp_path / "in.txt").write_bytes(data)
+    proc = run_fresh(tmp_path, "-m", "squarelab", command, "in.txt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"squarelab: parse error {error}\n")
 
 
 VERIFY_ARGV = ["verify", "--exhaustive-max", "2", "--random-count", "2", "--max-dim", "3"]

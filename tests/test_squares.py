@@ -396,7 +396,8 @@ def test_results_equal_only_their_own_type():
 
 
 def test_oracle_cap_lives_in_grid():
-    from squarelab import grid
+    # defined in core, which `cube` loads, and importable from grid
+    from squarelab import core, grid
 
-    assert OracleCapExceededError is grid.OracleCapExceededError
-    assert ORACLE_CELL_CAP == grid.ORACLE_CELL_CAP
+    assert OracleCapExceededError is grid.OracleCapExceededError is core.OracleCapExceededError
+    assert ORACLE_CELL_CAP == grid.ORACLE_CELL_CAP == core.ORACLE_CELL_CAP
