@@ -6,12 +6,12 @@ characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
 
 A well-formed file is read in place by `core.read_matrix` and
-`core.read_volume`, with no import of this module.  The line parsers here,
-`parse_matrix` and `parse_volume`, report what their bulk check rejects,
-naming the line, and make the BinaryMatrix and BinaryVolume that every
-solver but the three `solve`, `rect` and `cube` run by default takes.  The
-value base, the error types and the read path live in `core` and are
-importable from here too.
+`core.read_volume`, which import this module only for what their bulk
+check rejects: the line parsers here, `parse_matrix` and `parse_volume`,
+report it, naming the line.  BinaryMatrix and BinaryVolume are what the
+library solvers take; `solve`, `rect` and `cube` by default run on the
+file's text instead.  The value base, the error types and the read path
+are defined in `core` and importable from here.
 """
 
 from __future__ import annotations
