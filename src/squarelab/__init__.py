@@ -5,8 +5,9 @@ frequency method and its bit-parallel form, plus dynamic-programming and
 brute-force references), a histogram-based maximal-rectangle baseline, a 3D
 cube extension, differential verification campaigns, and a benchmark harness.
 
-Each public name is declared once, in _EXPORTS, and its module is imported on
-first access, so `import squarelab` loads no submodule.
+Each public name is declared once, in _EXPORTS, under the module that defines
+it, and that module is imported on first access, so `import squarelab` loads
+no submodule and a result or error type loads only `core`.
 """
 
 import importlib
@@ -15,26 +16,24 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it exports
 _EXPORTS = {
-    "bench": (
-        "BenchConfig", "BenchRecord", "PlotTarget", "run_edge_cases", "run_grid",
-        "trimmed_mean",
+    "bench": ("BenchConfig", "BenchRecord", "run_edge_cases", "run_grid", "trimmed_mean"),
+    "core": (
+        "CubeResult", "InvalidCharError", "LayerShapeMismatchError", "MatrixParseError",
+        "PlotTarget", "RaggedRowsError", "RectResult", "SquareResult",
     ),
     "cubes": (
-        "CubeResult", "DepthFreqMatrix", "brute_force_cube", "depth_freq_update",
-        "exists_cube_at_depth", "max_cube",
+        "DepthFreqMatrix", "brute_force_cube", "depth_freq_update", "exists_cube_at_depth",
+        "max_cube",
     ),
     "grid": (
-        "BinaryMatrix", "BinaryVolume", "EdgeKind", "GenSpec", "InvalidCharError",
-        "LayerShapeMismatchError", "MatrixParseError", "RaggedRowsError",
-        "generate_edge_case", "generate_matrix", "generate_volume", "parse_matrix",
-        "parse_volume", "serialize_matrix", "serialize_volume",
+        "BinaryMatrix", "BinaryVolume", "EdgeKind", "GenSpec", "generate_edge_case",
+        "generate_matrix", "generate_volume", "parse_matrix", "parse_volume",
+        "serialize_matrix", "serialize_volume",
     ),
-    "histogram": (
-        "RectResult", "build_histograms", "largest_rect_in_histogram", "maximal_rectangle",
-    ),
+    "histogram": ("build_histograms", "largest_rect_in_histogram", "maximal_rectangle"),
     "squares": (
-        "AllocationAudit", "FreqState", "SquareResult", "brute_force_square", "dp_full",
-        "dp_rows", "freq_bits", "freq_square", "freq_square_traced",
+        "AllocationAudit", "FreqState", "brute_force_square", "dp_full", "dp_rows",
+        "freq_bits", "freq_square", "freq_square_traced",
     ),
     "verify": ("VerifyReport", "edge_case_suite", "exhaustive_sweep", "random_campaign"),
 }

@@ -13,13 +13,8 @@ import os
 import sys
 from math import isqrt
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
 
 from .core import ORACLE_CELL_CAP, MatrixParseError, PlotTarget, read_matrix, read_volume
-
-if TYPE_CHECKING:
-    from .core import SquareResult
-    from .grid import BinaryMatrix
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -29,30 +24,14 @@ BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 # bench's largest grid and of the paper's tables
 DP2D_CELL_CAP = 1_000_000
 
-
-def _squares_solver(name: str) -> Callable[[BinaryMatrix], SquareResult]:
-    """The solver `squares.<name>`, imported on its first call, so that only
-    `solve --algo freq|dp|dp2d|brute` loads squares (and grid, for the
-    BinaryMatrix it takes); the default `bits` runs
-    `bitplanes.freq_bits_text` on the file's text instead."""
-
-    def solve(m: BinaryMatrix) -> SquareResult:
-        from . import squares
-
-        return getattr(squares, name)(m)
-
-    return solve
-
-
-# `solve --algo` flag -> solver; `bits` runs as bitplanes.freq_bits_text on
-# the file's text, the others on the BinaryMatrix made from it
-SOLVE_ALGOS: dict[str, Callable[[BinaryMatrix], SquareResult]] = {
-    flag: _squares_solver(name) for flag, name in (
-        ("bits", "freq_bits"),
-        ("freq", "freq_square"),
-        *BASELINE_FLAGS.items(),
-        ("brute", "brute_force_square"),
-    )
+# `solve --algo` flag -> squares function name; `bits` runs as
+# bitplanes.freq_bits_text on the file's text, so only the others load
+# squares (and grid, for the BinaryMatrix they take)
+SOLVE_ALGOS = {
+    "bits": "freq_bits",
+    "freq": "freq_square",
+    **BASELINE_FLAGS,
+    "brute": "brute_force_square",
 }
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -149,7 +128,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
             raise ValueError(
                 f"{grid.rows}x{grid.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
-        result = SOLVE_ALGOS[args.algo](grid.matrix())
+        from . import squares
+
+        result = getattr(squares, SOLVE_ALGOS[args.algo])(grid.matrix())
     print(f"side={result.side} area={result.area}")
     return 0
 

@@ -16,8 +16,6 @@ as freq_square is for freq_bits.
 
 from __future__ import annotations
 
-# max_cube_text and CubeResult live in bitplanes and core, so that `cube`
-# runs them without loading this module; they stay importable from here
 from .bitplanes import max_cube_text
 from .core import CubeResult, OracleCapExceededError, VolumeText
 from .grid import BinaryMatrix, BinaryVolume
@@ -83,10 +81,11 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 
     Thresholding f at k turns the question into maximal-square detection:
     the window exists exactly when the binarized matrix holds a square of
-    side >= k, which the bit-parallel frequency solver answers in one pass,
-    a whole row at a time, with O(cols log rows) bits of auxiliary space.
+    side >= k, which the paper's per-cell frequency solver answers in one
+    pass.  It shares no code with `bitplanes.sweep`, which max_cube runs,
+    so a defect in the sweep cannot hide from the comparison.
     """
-    from .squares import freq_bits  # only this reference needs squares
+    from .squares import freq_square  # only this reference needs squares
 
     if k < 1:
         raise ValueError("k must be positive")
@@ -95,7 +94,7 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
     binarized = BinaryMatrix(
         f.rows, f.cols, bytes(1 if v >= k else 0 for v in f.values)
     )
-    return freq_bits(binarized).side >= k
+    return freq_square(binarized).side >= k
 
 
 def max_cube(v: BinaryVolume) -> CubeResult:

@@ -11,7 +11,7 @@ check rejects: the line parsers here, `parse_matrix` and `parse_volume`,
 report it, naming the line.  BinaryMatrix and BinaryVolume are what the
 library solvers take; `solve`, `rect` and `cube` by default run on the
 file's text instead.  The value base, the error types and the read path
-are defined in `core` and importable from here.
+are defined in `core`.
 """
 
 from __future__ import annotations
@@ -19,21 +19,13 @@ from __future__ import annotations
 import random
 from enum import Enum
 
-# the read path and the types the hot subcommands share: defined in core,
-# importable from here, where the public names among them are exported
 from .core import (
-    ORACLE_CELL_CAP,
     InvalidCharError,
     LayerShapeMismatchError,
     MatrixParseError,
-    MatrixText,
-    OracleCapExceededError,
-    PlotTarget,
     RaggedRowsError,
     VolumeText,
     _Record,
-    read_matrix,
-    read_volume,
 )
 
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")

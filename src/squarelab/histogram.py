@@ -10,8 +10,8 @@ as the comparison point for the square solvers (every square is a
 rectangle).
 
 `rect` runs `maximal_rectangle_text` on a file's bytes, so this module
-loads only `bitplanes` and `core`, not `grid`; RectResult is defined in
-`core` and importable from here.
+loads only `bitplanes` and `core`, not `grid`; RectResult, which it
+returns, is defined in `core`.
 """
 
 from __future__ import annotations

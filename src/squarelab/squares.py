@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-# freq_bits_text, SquareResult, the oracle cap and its error live in
-# bitplanes and core, so that `solve` and `cube` run them without loading
-# this module; they stay importable from here
-from .bitplanes import freq_bits_text, sweep, text_rows
+from .bitplanes import sweep, text_rows
 from .core import (
     ORACLE_CELL_CAP,
     MatrixText,

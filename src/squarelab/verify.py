@@ -13,7 +13,7 @@ import random
 import time
 from typing import Callable
 
-from .core import _Result
+from .core import SquareResult, _Result
 from .grid import (
     _TO_BITS,
     _TO_TEXT,
@@ -28,7 +28,6 @@ from .grid import (
 )
 from .histogram import build_histograms
 from .squares import (
-    SquareResult,
     brute_force_square,
     dp_full,
     dp_rows,

@@ -13,14 +13,13 @@ from squarelab.bitplanes import (
     text_layers,
     text_rows,
 )
+from squarelab.core import MatrixText, VolumeText
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
     BinaryMatrix,
     BinaryVolume,
     GenSpec,
-    MatrixText,
-    VolumeText,
     generate_matrix,
     generate_volume,
 )

@@ -242,7 +242,7 @@ def test_verify_max_dim_over_the_oracle_cap_fails_up_front(capsys, monkeypatch, 
 
 def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "DP2D_CELL_CAP", 9)
-    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", lambda m: pytest.fail("dp2d ran"))
+    monkeypatch.setattr(squares, "dp_full", lambda m: pytest.fail("dp2d ran"))
     path = tmp_path / "m.txt"
     path.write_text("1111\n1111\n1111\n")
     code, out, err = run(capsys, "solve", str(path), "--algo", "dp2d")
@@ -251,7 +251,7 @@ def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, "solve", str(path), "--algo", "bits")
     assert (code, out) == (0, "side=3 area=9\n")
     monkeypatch.setattr(cli, "DP2D_CELL_CAP", 12)
-    monkeypatch.setitem(cli.SOLVE_ALGOS, "dp2d", squares.BASELINES["dp_full"])
+    monkeypatch.setattr(squares, "dp_full", squares.BASELINES["dp_full"])
     code, out, _ = run(capsys, "solve", str(path), "--algo", "dp2d")
     assert (code, out) == (0, "side=3 area=9\n")
 
@@ -467,8 +467,11 @@ def test_running_out_of_memory_exits_3(tmp_path):
 
 
 def test_solve_dp_flags_run_the_bench_baselines():
-    # SOLVE_ALGOS looks the solvers up by name; BASELINES keys are those names
+    # SOLVE_ALGOS names squares functions; BASELINES keys are those names
+    for name in cli.SOLVE_ALGOS.values():
+        assert inspect.isfunction(getattr(squares, name)), name
     for flag, name in cli.BASELINE_FLAGS.items():
+        assert cli.SOLVE_ALGOS[flag] == name
         assert squares.BASELINES[name] is getattr(squares, name)
     assert bench.BASELINES is squares.BASELINES
     assert sorted(cli.SOLVE_ALGOS) == ["bits", "brute", "dp", "dp2d", "freq"]

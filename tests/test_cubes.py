@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from squarelab import bitplanes, squares
 from squarelab.cubes import (
     CUBE_ORACLE_CELL_CAP,
     CubeResult,
@@ -60,6 +61,21 @@ def test_exists_cube_window_must_fit():
     f = DepthFreqMatrix.from_rows([[5, 5], [5, 5]])
     assert exists_cube_at_depth(f, 2) is True
     assert exists_cube_at_depth(f, 3) is False
+
+
+def test_exists_cube_runs_no_bitplanes_sweep(monkeypatch):
+    # the per-voxel reference must not share the sweep max_cube runs, or a
+    # defect in it would hide from the comparisons below
+    def no_sweep(*args):
+        raise AssertionError("bitplanes.sweep ran")
+
+    monkeypatch.setattr(squares, "sweep", no_sweep)
+    monkeypatch.setattr(bitplanes, "sweep", no_sweep)
+    f = DepthFreqMatrix.from_rows([[3, 3, 1], [2, 3, 1], [3, 2, 0]])
+    assert exists_cube_at_depth(f, 2) is True
+    assert exists_cube_at_depth(f, 3) is False
+    assert exists_cube_at_depth(DepthFreqMatrix.from_rows([[0, 0], [0, 1]]), 1) is True
+    assert exists_cube_at_depth(DepthFreqMatrix.from_rows([[5, 5], [5, 5]]), 3) is False
 
 
 def test_exists_cube_rejects_nonpositive_k():

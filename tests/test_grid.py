@@ -6,7 +6,18 @@ import random
 
 import pytest
 
-from squarelab.core import CubeResult, RectResult, SquareResult
+from squarelab.core import (
+    CubeResult,
+    InvalidCharError,
+    LayerShapeMismatchError,
+    MatrixText,
+    RaggedRowsError,
+    RectResult,
+    SquareResult,
+    VolumeText,
+    read_matrix,
+    read_volume,
+)
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -14,18 +25,11 @@ from squarelab.grid import (
     BinaryVolume,
     EdgeKind,
     GenSpec,
-    InvalidCharError,
-    LayerShapeMismatchError,
-    MatrixText,
-    RaggedRowsError,
-    VolumeText,
     generate_edge_case,
     generate_matrix,
     generate_volume,
     parse_matrix,
     parse_volume,
-    read_matrix,
-    read_volume,
     serialize_matrix,
     serialize_volume,
 )

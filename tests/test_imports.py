@@ -1,6 +1,8 @@
 """The package's public surface, and the modules each subcommand loads."""
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -83,6 +85,15 @@ def loaded_submodules(tmp_path, *argv):
 
 def test_import_alone_loads_no_submodule(tmp_path):
     assert loaded_submodules(tmp_path, "-c", "import squarelab") == set()
+
+
+def test_result_and_error_types_load_only_core(tmp_path):
+    # read from sys.modules: `-X importtime` reports import statements only,
+    # not the importlib.import_module call a public name's first access makes
+    code = ("import sys, squarelab; squarelab.SquareResult; squarelab.MatrixParseError; "
+            "print(sorted(name for name in sys.modules if name.startswith('squarelab.')))")
+    proc = run_fresh(tmp_path, "-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['squarelab.core']\n", "")
 
 
 # subcommand, its input, and every squarelab submodule it loads: no grid,
@@ -168,6 +179,36 @@ def test_public_names_are_their_modules_objects():
         defining = importlib.import_module(f"squarelab.{module}")
         for name in names:
             assert getattr(squarelab, name) is getattr(defining, name), name
+
+
+def test_public_names_are_listed_under_their_defining_module():
+    for module, names in squarelab._EXPORTS.items():
+        for name in names:
+            value = getattr(squarelab, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"squarelab.{module}", name
+
+
+def sibling_imports_unused(path):
+    """The names `path` imports from a sibling squarelab module and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name): node.module or "."
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{module}.{name}" for name, module in imported.items() if name not in used}
+
+
+MODULE_FILES = sorted(path for path in Path(squarelab.__file__).parent.glob("*.py")
+                      if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda path: path.stem)
+def test_every_sibling_import_is_used(path):
+    # a name imported only to be importable from here again is a second home
+    # for it; each name is imported from the module that defines it
+    assert sibling_imports_unused(path) == set()
 
 
 def test_star_import_binds_all():

@@ -9,27 +9,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
-from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube, max_cube_text
+from squarelab.bitplanes import freq_bits_text, max_cube_text
+from squarelab.core import MatrixParseError, RectResult, read_matrix, read_volume
+from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
 from squarelab.grid import (
     BinaryMatrix,
     BinaryVolume,
     EdgeKind,
-    MatrixParseError,
     parse_matrix,
     parse_volume,
-    read_matrix,
-    read_volume,
     serialize_matrix,
     serialize_volume,
 )
 from squarelab.histogram import (
-    RectResult,
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
     maximal_rectangle_text,
 )
-from squarelab.squares import freq_bits, freq_bits_text, freq_square
+from squarelab.squares import freq_bits, freq_square
 
 # the host's speed varies, so no per-example deadline
 PROPERTY = settings(deadline=None, max_examples=150)

@@ -395,9 +395,9 @@ def test_results_equal_only_their_own_type():
     assert {SquareResult(0, 0, 0): 1}.get((0, 0, 0)) is None
 
 
-def test_oracle_cap_lives_in_grid():
-    # defined in core, which `cube` loads, and importable from grid
-    from squarelab import core, grid
+def test_oracle_cap_lives_in_core():
+    # defined in core, which `cube` loads, and used from there by squares
+    from squarelab import core
 
-    assert OracleCapExceededError is grid.OracleCapExceededError is core.OracleCapExceededError
-    assert ORACLE_CELL_CAP == grid.ORACLE_CELL_CAP == core.ORACLE_CELL_CAP
+    assert OracleCapExceededError is core.OracleCapExceededError
+    assert ORACLE_CELL_CAP == core.ORACLE_CELL_CAP
