@@ -59,8 +59,6 @@ class BenchConfig:
             raise ValueError("runs must be positive")
         if not 0.0 <= self.trim_fraction < 0.4:
             raise ValueError("trim_fraction must be in [0, 0.4)")
-        if self.runs - 2 * int(self.runs * self.trim_fraction) < 1:
-            raise ValueError("trimming would leave no samples")
         if self.baseline not in BASELINES:
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if any(s < 1 for s in self.sizes):

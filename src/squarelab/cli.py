@@ -13,6 +13,7 @@ import os
 import sys
 from math import isqrt
 from pathlib import Path
+from typing import Callable
 
 from .core import ORACLE_CELL_CAP, MatrixParseError, PlotTarget, read_matrix, read_volume
 
@@ -46,18 +47,15 @@ def _read_bytes(path: str | None) -> bytes:
     return Path(path).read_bytes()
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _list_of(kind: type) -> Callable[[str], tuple]:
+    # an argparse type for a comma-separated list of `kind` values
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(map(kind, text.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the bench options left unset (None) take BenchConfig's defaults and
     # PLOT_SIZE in _cmd_bench, so building this parser loads no bench
     p_bench = sub.add_parser("bench", help="time the frequency solver against a DP baseline")
-    p_bench.add_argument("--sizes", type=_int_list)
-    p_bench.add_argument("--densities", type=_float_list)
+    p_bench.add_argument("--sizes", type=_list_of(int))
+    p_bench.add_argument("--densities", type=_list_of(float))
     p_bench.add_argument("--runs", type=int)
     p_bench.add_argument("--trim", type=float)
     p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS))
@@ -118,19 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    grid = read_matrix(_read_bytes(args.path))
+    text = read_matrix(_read_bytes(args.path))
     if args.algo == "bits":
         from .bitplanes import freq_bits_text
 
-        result = freq_bits_text(grid)
+        result = freq_bits_text(text)
     else:
-        cells = grid.rows * grid.cols
+        cells = text.rows * text.cols
         if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
             raise ValueError(
-                f"{grid.rows}x{grid.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
+                f"{text.rows}x{text.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
         from . import squares
+        from .grid import BinaryMatrix
 
-        result = getattr(squares, SOLVE_ALGOS[args.algo])(grid.matrix())
+        result = getattr(squares, SOLVE_ALGOS[args.algo])(BinaryMatrix.from_text(text))
     print(f"side={result.side} area={result.area}")
     return 0
 
@@ -234,15 +233,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
-    grid = read_volume(_read_bytes(args.path))
+    text = read_volume(_read_bytes(args.path))
     if args.algo == "freq":
         from .bitplanes import max_cube_text
 
-        result = max_cube_text(grid)
+        result = max_cube_text(text)
     else:
         from .cubes import brute_force_cube
+        from .grid import BinaryVolume
 
-        result = brute_force_cube(grid.volume())
+        result = brute_force_cube(BinaryVolume.from_text(text))
     print(f"side={result.side}")
     return 0
 

@@ -4,13 +4,12 @@ the result types, the error types and the read path.
 A file's bytes are read by `read_matrix` and `read_volume`: a well-formed
 file is checked with a few whole-buffer operations and then read in place
 as MatrixText or VolumeText, whose row, column and layer slices `bitplanes`
-packs.  Everything else about grids (the BinaryMatrix and BinaryVolume
-types, the line parsers that name the line a malformed file fails on,
-serialization and generation) is in `grid`, which this module imports only
-inside the few functions that need it: `MatrixText.of` and `.matrix()`,
-their VolumeText twins, and the line-parser fallback of `read_*`.  So
-`solve`, `rect` and `cube` on a well-formed file never import `grid`, and,
-with no bytecode cached, compile only the source they run.
+packs.  This module knows a grid only as that text: the 0/1 cell types,
+and the conversions between them and the text (`to_text`, `from_text`),
+are in `grid`, which this module imports only when a file fails the bulk
+check, for the line parser that names the line it fails on.  So `solve`,
+`rect` and `cube` on a well-formed file never import `grid`, and, with no
+bytecode cached, compile only the source they run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`
@@ -22,10 +21,6 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import itemgetter
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .grid import BinaryMatrix, BinaryVolume
 
 # the largest input, in cells, the brute-force square oracle accepts
 ORACLE_CELL_CAP = 10_000
@@ -146,15 +141,17 @@ class CubeResult(_Result):
         return tuple.__new__(cls, (side, volume_visited))
 
 
-def _rows_end(text: bytes, start: int, rows: int, cols: int) -> bool:
-    # whether the rows lines of cols cells from text[start] each end in a newline
+def _is_grid_text(text: bytes, depth: int, rows: int, cols: int) -> bool:
+    # whether text is depth layers of rows lines of cols '0'/'1' cells, each
+    # line ending in a newline and the layers joined by one blank line: the
+    # blank lines and the row ends are newlines, and there are no others
     stride = cols + 1
-    return text[start + cols:start + rows * stride:stride] == b"\n" * rows
-
-
-def _only_cells(text: bytes, newlines: int) -> bool:
-    # whether text holds `newlines` newlines and, besides them, only '0' and '1'
-    return text.translate(None, b"01") == b"\n" * newlines
+    pitch = rows * stride + 1
+    return (min(depth, rows, cols) >= 0 and len(text) == max(depth * pitch - 1, 0)
+            and text[pitch - 1::pitch] == b"\n" * (depth - 1)
+            and all(text[d * pitch + cols:d * pitch + rows * stride:stride] == b"\n" * rows
+                    for d in range(depth))
+            and text.translate(None, b"01") == b"\n" * (depth * (rows + 1) - 1))
 
 
 class MatrixText(_Record):
@@ -173,23 +170,9 @@ class MatrixText(_Record):
     cols: int
 
     def __new__(cls, text: bytes, rows: int, cols: int) -> MatrixText:
-        if (min(rows, cols) < 0 or len(text) != rows * (cols + 1)
-                or not _rows_end(text, 0, rows, cols) or not _only_cells(text, rows)):
+        if not _is_grid_text(text, 1, rows, cols):
             raise ValueError(f"text is not {rows} lines of {cols} '0'/'1' cells")
         return tuple.__new__(cls, (text, rows, cols))
-
-    @classmethod
-    def of(cls, m: BinaryMatrix) -> MatrixText:
-        from .grid import _text_of
-
-        # m's cells are 0/1 already, so the text needs no second check
-        return tuple.__new__(cls, (_text_of(m.cells, m.rows, m.cols), m.rows, m.cols))
-
-    def matrix(self) -> BinaryMatrix:
-        """The same grid as a BinaryMatrix, made with one translate."""
-        from .grid import _TO_BITS, BinaryMatrix
-
-        return BinaryMatrix(self.rows, self.cols, self.text.translate(_TO_BITS, b"\n"))
 
 
 class VolumeText(_Record):
@@ -207,35 +190,14 @@ class VolumeText(_Record):
     cols: int
 
     def __new__(cls, text: bytes, depth: int, rows: int, cols: int) -> VolumeText:
-        size = rows * (cols + 1)
-        pitch = size + 1
-        if (min(depth, rows, cols) < 0 or (depth and not rows * cols)
-                or len(text) != max(depth * pitch - 1, 0)
-                or text[size::pitch] != b"\n" * (depth - 1)
-                or not all(_rows_end(text, d * pitch, rows, cols) for d in range(depth))
-                or not _only_cells(text, max(depth * (rows + 1) - 1, 0))):
+        # a non-empty volume has cells, so every layer survives a text round trip
+        if (depth and not rows * cols) or not _is_grid_text(text, depth, rows, cols):
             raise ValueError(f"text is not {depth} layers of {rows}x{cols} '0'/'1' cells")
         return tuple.__new__(cls, (text, depth, rows, cols))
 
     @property
     def pitch(self) -> int:
         return self.rows * (self.cols + 1) + 1
-
-    @classmethod
-    def of(cls, v: BinaryVolume) -> VolumeText:
-        from .grid import _text_of
-
-        size = v.rows * (v.cols + 1)
-        body = _text_of(v.cells, v.depth * v.rows, v.cols)
-        text = b"\n".join([body[d * size:(d + 1) * size] for d in range(v.depth)])
-        return tuple.__new__(cls, (text, v.depth, v.rows, v.cols))
-
-    def volume(self) -> BinaryVolume:
-        """The same grid as a BinaryVolume, made with one translate."""
-        from .grid import _TO_BITS, BinaryVolume
-
-        cells = self.text.translate(_TO_BITS, b"\n")
-        return BinaryVolume(self.depth, self.rows, self.cols, cells)
 
 
 def _decode(data: bytes) -> str:
@@ -261,7 +223,7 @@ def read_matrix(data: bytes) -> MatrixText:
             pass
     from .grid import parse_matrix
 
-    return MatrixText.of(parse_matrix(_decode(data)))
+    return parse_matrix(_decode(data)).to_text()
 
 
 def read_volume(data: bytes) -> VolumeText:
@@ -279,4 +241,4 @@ def read_volume(data: bytes) -> VolumeText:
             pass
     from .grid import parse_volume
 
-    return VolumeText.of(parse_volume(_decode(data)))
+    return parse_volume(_decode(data)).to_text()

@@ -17,7 +17,7 @@ as freq_square is for freq_bits.
 from __future__ import annotations
 
 from .bitplanes import max_cube_text
-from .core import CubeResult, OracleCapExceededError, VolumeText
+from .core import CubeResult, OracleCapExceededError
 from .grid import BinaryMatrix, BinaryVolume
 
 CUBE_ORACLE_CELL_CAP = 4096
@@ -110,7 +110,7 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     exists_cube_at_depth are the per-voxel reference this sweep is tested
     against.
     """
-    return max_cube_text(VolumeText.of(v))
+    return max_cube_text(v.to_text())
 
 
 def brute_force_cube(v: BinaryVolume) -> CubeResult:

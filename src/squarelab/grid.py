@@ -5,13 +5,14 @@ Matrices are dense row-major grids of 0/1 cells; volumes add a depth axis
 characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
 
+BinaryMatrix and BinaryVolume, the cell values the library solvers take,
+hold the one codec between a grid and its file text (`core.MatrixText`,
+`core.VolumeText`, which `bitplanes` packs): `to_text` and `from_text`.
 A well-formed file is read in place by `core.read_matrix` and
 `core.read_volume`, which import this module only for what their bulk
 check rejects: the line parsers here, `parse_matrix` and `parse_volume`,
-report it, naming the line.  BinaryMatrix and BinaryVolume are what the
-library solvers take; `solve`, `rect` and `cube` by default run on the
-file's text instead.  The value base, the error types and the read path
-are defined in `core`.
+report it, naming the line.  The value base, the error types, the text
+types and the read path are defined in `core`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     InvalidCharError,
     LayerShapeMismatchError,
     MatrixParseError,
+    MatrixText,
     RaggedRowsError,
     VolumeText,
     _Record,
@@ -75,6 +77,15 @@ class BinaryMatrix(_Record):
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @classmethod
+    def from_text(cls, t: MatrixText) -> BinaryMatrix:
+        return cls(t.rows, t.cols, t.text.translate(_TO_BITS, b"\n"))
+
+    def to_text(self) -> MatrixText:
+        # the cells are 0/1 already, so the text needs no second check
+        text = _text_of(self.cells, self.rows, self.cols)
+        return tuple.__new__(MatrixText, (text, self.rows, self.cols))
 
     def ones(self) -> int:
         return self.cells.count(1)
@@ -131,6 +142,16 @@ class BinaryVolume(_Record):
             raise IndexError(f"layer {d} out of range for depth {self.depth}")
         size = self.rows * self.cols
         return BinaryMatrix(self.rows, self.cols, self.cells[d * size:(d + 1) * size])
+
+    @classmethod
+    def from_text(cls, t: VolumeText) -> BinaryVolume:
+        return cls(t.depth, t.rows, t.cols, t.text.translate(_TO_BITS, b"\n"))
+
+    def to_text(self) -> VolumeText:
+        size = self.rows * (self.cols + 1)
+        body = _text_of(self.cells, self.depth * self.rows, self.cols)
+        text = b"\n".join([body[d * size:(d + 1) * size] for d in range(self.depth)])
+        return tuple.__new__(VolumeText, (text, self.depth, self.rows, self.cols))
 
 
 EMPTY_VOLUME = BinaryVolume(0, 0, 0, b"")
@@ -231,7 +252,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
 def serialize_matrix(m: BinaryMatrix) -> str:
     """Inverse of parse_matrix: one '\\n'-terminated line per row."""
-    return _text_of(m.cells, m.rows, m.cols).decode("ascii")
+    return m.to_text().text.decode("ascii")
 
 
 def parse_volume(text: str) -> BinaryVolume:
@@ -264,7 +285,7 @@ def parse_volume(text: str) -> BinaryVolume:
 
 def serialize_volume(v: BinaryVolume) -> str:
     """Inverse of parse_volume: layers joined by one blank line."""
-    return VolumeText.of(v).text.decode("ascii")
+    return v.to_text().text.decode("ascii")
 
 
 def _text_of(cells: bytes, lines: int, cols: int) -> bytes:

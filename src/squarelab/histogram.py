@@ -102,7 +102,7 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     bottom row of any rectangle of area A.  Row i*'s heights are read
     with one `rfind` per column and go through the same stack.
     """
-    return maximal_rectangle_text(MatrixText.of(m))
+    return maximal_rectangle_text(m.to_text())
 
 
 def maximal_rectangle_text(t: MatrixText) -> RectResult:

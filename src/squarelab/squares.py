@@ -22,7 +22,6 @@ from typing import Callable
 from .bitplanes import sweep, text_rows
 from .core import (
     ORACLE_CELL_CAP,
-    MatrixText,
     OracleCapExceededError,
     SquareResult,
     _Result,
@@ -166,7 +165,7 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     runs on a file already held in memory whole, sweeps the shorter axis
     instead.
     """
-    best, planes = sweep(text_rows(MatrixText.of(m)), (1,), min(m.rows, m.cols))
+    best, planes = sweep(text_rows(m.to_text()), (1,), min(m.rows, m.cols))
     if audit is not None:
         audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)
@@ -250,15 +249,14 @@ def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) ->
     anchor up to z on that top at side k, so left jumps to z + 1 (the
     bad-character skip of Boyer and Moore, CACM 20(10), 1977).
     cells_visited counts the cells each segment scan reads, up to and
-    including its first zero, so it can be below rows*cols.
+    including its first zero, so it can be below rows*cols.  It allocates
+    no working storage, so an audit is left at 0.
     """
     rows, cols, cells = m.rows, m.cols, m.cells
     if rows * cols > ORACLE_CELL_CAP:
         raise OracleCapExceededError(
             f"{rows}x{cols} = {rows * cols} cells exceeds oracle cap {ORACLE_CELL_CAP}"
         )
-    if audit is not None:
-        audit.add(0)  # no auxiliary storage
     best = 0
     visited = 0
     top = 0

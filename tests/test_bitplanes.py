@@ -13,7 +13,6 @@ from squarelab.bitplanes import (
     text_layers,
     text_rows,
 )
-from squarelab.core import MatrixText, VolumeText
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -46,15 +45,15 @@ def mask_of(columns, cols):
 
 
 def rows_of(m):
-    return list(text_rows(MatrixText.of(m)))
+    return list(text_rows(m.to_text()))
 
 
 def columns_of(m):
-    return list(text_columns(MatrixText.of(m)))
+    return list(text_columns(m.to_text()))
 
 
 def layers_of(v):
-    return list(text_layers(VolumeText.of(v)))
+    return list(text_layers(v.to_text()))
 
 
 def peak_allocated(f, *args):
@@ -97,9 +96,9 @@ def test_text_board_reads_each_newline_as_a_guard_bit(cols):
     # 8 one whole block, and 9 and 17 whole blocks under a partial one
     for rows in (1, 7, 8, 9, 17):
         m = generate_matrix(GenSpec(rows, cols, 0.7, cols)) if cols else BinaryMatrix(rows, 0, b"")
-        t = MatrixText.of(m)
+        t = m.to_text()
         assert text_board(t) == int(t.text.translate(bytes.maketrans(b"\n", b"0")), 2)
-    assert text_board(MatrixText.of(EMPTY_MATRIX)) == 0
+    assert text_board(EMPTY_MATRIX.to_text()) == 0
 
 
 # a board is an eighth of its text, and the packer holds at most three
@@ -107,12 +106,12 @@ def test_text_board_reads_each_newline_as_a_guard_bit(cols):
 # int), so a copy of the text, or of a layer, breaks the bound
 @pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (250, 4000)])
 def test_text_board_makes_no_copy_of_the_text(rows, cols):
-    t = MatrixText.of(generate_matrix(GenSpec(rows, cols, 0.5, rows)))
+    t = generate_matrix(GenSpec(rows, cols, 0.5, rows)).to_text()
     assert peak_allocated(text_board, t) < len(t.text) // 2
 
 
 def test_text_layers_make_no_copy_of_a_layer():
-    t = VolumeText.of(generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)))
+    t = generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)).to_text()
     assert peak_allocated(lambda t: list(text_layers(t)), t) < len(t.text) // 2
 
 

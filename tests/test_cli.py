@@ -13,6 +13,7 @@ import squarelab
 from squarelab import bench, cli, squares
 from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
+from squarelab.core import SquareResult
 
 
 def run(capsys, *argv):
@@ -219,6 +220,35 @@ def test_verify_deterministic_stdout(capsys):
     assert out1 == out2
 
 
+def test_verify_finding_exits_1_and_writes_the_mismatches(tmp_path, capsys, monkeypatch):
+    import squarelab.verify
+
+    # edge_case_suite looks freq_square up at call time; a stand-in that
+    # finds no square disagrees with dp_full on each edge case holding a one
+    monkeypatch.setattr(squarelab.verify, "freq_square",
+                        lambda m: SquareResult(0, 0, m.rows * m.cols))
+    csv = tmp_path / "found.csv"
+    code, out, err = run(capsys, "verify", "--exhaustive-max", "1", "--random-count", "1",
+                         "--max-dim", "2", "--mismatch-out", str(csv))
+    assert code == 1
+    head, edges = out.split("[edges]\n")
+    assert head.count("mismatches=0\n") == head.count("invariant_failures=0\n") == 2
+    assert edges.startswith("cases_run=5\nmismatches=3\ninvariant_failures=3\n")
+    assert "mismatch case=all_ones_100 rows=100 cols=100\n" in edges
+    assert "  sides freq=0 dp_full=100\n" in edges
+    assert edges.endswith(
+        "invariant_failure case=all_ones_100: freq area 0, expected 10000\n"
+        "invariant_failure case=single_row_1000: freq area 0, expected 1\n"
+        "invariant_failure case=single_col_1000: freq area 0, expected 1\n")
+    assert err.endswith(f"mismatches written to {csv}\n")
+    assert csv.read_text(encoding="ascii").splitlines() == [
+        "case,rows,cols,cells,freq_side,dp_full_side",
+        f"all_ones_100,100,100,{'1' * 10000},0,100",
+        f"single_row_1000,1,1000,{'1' * 1000},0,1",
+        f"single_col_1000,1000,1,{'1' * 1000},0,1",
+    ]
+
+
 def test_verify_cap_exceeded_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--exhaustive-max", "99")
     assert code == 2
@@ -315,6 +345,16 @@ def test_bench_plot_time_at_size(capsys):
 def test_bench_bad_sizes_list(capsys):
     code, _, _ = run(capsys, "bench", "--sizes", "10,abc")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, kind",
+                         [("--sizes", "10,abc", "int"), ("--densities", "0.5,x", "float")])
+def test_bench_bad_list_names_its_type(capsys, flag, value, kind):
+    code, out, err = run(capsys, "bench", flag, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"squarelab bench: error: argument {flag}: "
+        f"not a comma-separated {kind} list: {value!r}\n")
 
 
 def test_bench_defaults_are_bench_config(capsys, monkeypatch):

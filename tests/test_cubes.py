@@ -4,9 +4,9 @@ import random
 import pytest
 
 from squarelab import bitplanes, squares
+from squarelab.core import CubeResult
 from squarelab.cubes import (
     CUBE_ORACLE_CELL_CAP,
-    CubeResult,
     DepthFreqMatrix,
     ShapeMismatchError,
     brute_force_cube,

@@ -326,7 +326,7 @@ def test_read_matrix_reads_the_file_in_place():
     data = b"110\n011\n"
     t = read_matrix(data)
     assert t == (data, 2, 3) and t.text is data
-    assert t.matrix() == parse_matrix(data.decode())
+    assert BinaryMatrix.from_text(t) == parse_matrix(data.decode())
     # a missing final newline is added; the shape and cells are the same
     assert read_matrix(b"110\n011") == t
 
@@ -335,14 +335,14 @@ def test_read_volume_reads_the_file_in_place():
     data = b"10\n01\n\n11\n00\n\n01\n11\n"
     t = read_volume(data)
     assert t == (data, 3, 2, 2) and t.text is data and t.pitch == 7
-    assert t.volume() == parse_volume(data.decode())
+    assert BinaryVolume.from_text(t) == parse_volume(data.decode())
     assert read_volume(data[:-1]) == t
     assert read_volume(b"1\n") == (b"1\n", 1, 1, 1)
 
 
 def test_empty_file_is_the_empty_grid():
-    assert read_matrix(b"").matrix() == EMPTY_MATRIX
-    assert read_volume(b"").volume() == EMPTY_VOLUME
+    assert BinaryMatrix.from_text(read_matrix(b"")) == EMPTY_MATRIX
+    assert BinaryVolume.from_text(read_volume(b"")) == EMPTY_VOLUME
 
 
 @pytest.mark.parametrize("fields", [
@@ -390,12 +390,12 @@ def test_grid_text_rebuilds_through_the_check():
 def test_grid_text_of_a_grid_is_its_file(rows, cols):
     m = (BinaryMatrix(rows, cols, b"") if not rows * cols
          else generate_matrix(GenSpec(rows, cols, 0.5, 3)))
-    t = MatrixText.of(m)
-    assert t.text == serialize_matrix(m).encode() and t.matrix() == m
+    t = m.to_text()
+    assert t.text == serialize_matrix(m).encode() and BinaryMatrix.from_text(t) == m
     assert MatrixText(*t) == t
     if rows * cols:
         v = generate_volume(GenSpec(rows, cols, 0.5, 3, depth=3))
-        vt = VolumeText.of(v)
-        assert vt.text == serialize_volume(v).encode() and vt.volume() == v
+        vt = v.to_text()
+        assert vt.text == serialize_volume(v).encode() and BinaryVolume.from_text(vt) == v
         assert VolumeText(*vt) == vt
-    assert VolumeText.of(EMPTY_VOLUME) == (b"", 0, 0, 0)
+    assert EMPTY_VOLUME.to_text() == (b"", 0, 0, 0)

@@ -4,14 +4,14 @@ import random
 import pytest
 
 from squarelab import histogram
+from squarelab.core import RectResult, SquareResult
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.histogram import (
-    RectResult,
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
 )
-from squarelab.squares import SquareResult, freq_square, freq_square_traced
+from squarelab.squares import freq_square, freq_square_traced
 
 
 def stack_rectangle(m):

@@ -61,20 +61,32 @@ ALL = [
 ]
 
 
-def run_fresh(tmp_path, *argv):
+SRC = str(Path(squarelab.__file__).parent.parent)
+
+
+def run_fresh(tmp_path, *argv, pythonpath=SRC):
     """Run argv in a fresh interpreter, in tmp_path, on this squarelab."""
-    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     return subprocess.run([sys.executable, *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+# imported by the interpreter at start-up from PYTHONPATH: at exit it writes
+# out sys.modules, so a module loaded by importlib.import_module, which
+# `-X importtime` does not report, is listed too
+LIST_MODULES_AT_EXIT = """import atexit, sys
+atexit.register(lambda: open({path!r}, "w").write("\\n".join(sys.modules)))
+"""
+
+
 def loaded_modules(tmp_path, *argv):
-    """Every module a fresh interpreter imports to run argv, read from the
-    `-X importtime` report on stderr."""
-    proc = run_fresh(tmp_path, "-X", "importtime", *argv)
+    """Every module in sys.modules when a fresh interpreter that ran argv exits."""
+    site, listing = tmp_path / "site", tmp_path / "modules.txt"
+    site.mkdir(exist_ok=True)
+    (site / "sitecustomize.py").write_text(LIST_MODULES_AT_EXIT.format(path=str(listing)))
+    proc = run_fresh(tmp_path, *argv, pythonpath=os.pathsep.join([SRC, str(site)]))
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return set(listing.read_text().split("\n"))
 
 
 def loaded_submodules(tmp_path, *argv):
@@ -88,12 +100,9 @@ def test_import_alone_loads_no_submodule(tmp_path):
 
 
 def test_result_and_error_types_load_only_core(tmp_path):
-    # read from sys.modules: `-X importtime` reports import statements only,
-    # not the importlib.import_module call a public name's first access makes
-    code = ("import sys, squarelab; squarelab.SquareResult; squarelab.MatrixParseError; "
-            "print(sorted(name for name in sys.modules if name.startswith('squarelab.')))")
-    proc = run_fresh(tmp_path, "-c", code)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['squarelab.core']\n", "")
+    # a public name's first access loads its module through importlib
+    code = "import squarelab; squarelab.SquareResult; squarelab.MatrixParseError"
+    assert loaded_submodules(tmp_path, "-c", code) == {"core"}
 
 
 # subcommand, its input, and every squarelab submodule it loads: no grid,
@@ -187,6 +196,22 @@ def test_public_names_are_listed_under_their_defining_module():
             value = getattr(squarelab, name)
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == f"squarelab.{module}", name
+
+
+def grid_imports(node):
+    """The `from .grid import` statements under an AST node."""
+    return {child.lineno for child in ast.walk(node)
+            if isinstance(child, ast.ImportFrom) and child.level == 1 and child.module == "grid"}
+
+
+def test_core_imports_grid_only_in_the_read_fallbacks():
+    # core holds the file text; grid, which owns the cell values and the
+    # conversions, is loaded only to name the line a malformed file fails on
+    tree = ast.parse(Path(squarelab.__file__).with_name("core.py").read_text(encoding="utf-8"))
+    readers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("read_matrix", "read_volume")]
+    assert len(readers) == 2 and all(grid_imports(reader) for reader in readers)
+    assert grid_imports(tree) == set().union(*map(grid_imports, readers))
 
 
 def sibling_imports_unused(path):

@@ -101,7 +101,7 @@ def bulk_read(read, data):
         t = read(data)
     except MatrixParseError as exc:
         return exc.line, str(exc)
-    return t.matrix() if hasattr(t, "matrix") else t.volume()
+    return (BinaryMatrix if read is read_matrix else BinaryVolume).from_text(t)
 
 
 @PROPERTY

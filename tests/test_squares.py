@@ -258,6 +258,12 @@ def test_dp_rows_aux_space_scales_with_cols_only():
         assert audit.peak_elements == 64
 
 
+def test_brute_force_aux_space_is_none():
+    audit = AllocationAudit()
+    brute_force_square(generate_matrix(GenSpec(12, 9, 0.5, 1)), audit=audit)
+    assert audit.peak_elements == 0
+
+
 def test_dp_full_aux_space_is_whole_table():
     audit = AllocationAudit()
     dp_full(generate_matrix(GenSpec(12, 9, 0.5, 1)), audit=audit)

@@ -1,7 +1,8 @@
 import pytest
 
+from squarelab.core import SquareResult
 from squarelab.grid import BinaryMatrix
-from squarelab.squares import SquareResult, dp_full, freq_square
+from squarelab.squares import dp_full, freq_square
 from squarelab.verify import (
     ENUMERATION_CAP,
     DEFAULT_SOLVERS,
