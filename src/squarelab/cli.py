@@ -13,7 +13,6 @@ import os
 import sys
 from math import isqrt
 from pathlib import Path
-from typing import Callable
 
 from .core import ORACLE_CELL_CAP, MatrixParseError, PlotTarget, read_matrix, read_volume
 
@@ -47,7 +46,7 @@ def _read_bytes(path: str | None) -> bytes:
     return Path(path).read_bytes()
 
 
-def _list_of(kind: type) -> Callable[[str], tuple]:
+def _list_of(kind: type):
     # an argparse type for a comma-separated list of `kind` values
     def parse(text: str) -> tuple:
         try:

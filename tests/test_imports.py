@@ -64,27 +64,35 @@ ALL = [
 SRC = str(Path(squarelab.__file__).parent.parent)
 
 
-def run_fresh(tmp_path, *argv, pythonpath=SRC):
+def run_fresh(tmp_path, *argv):
     """Run argv in a fresh interpreter, in tmp_path, on this squarelab."""
-    env = dict(os.environ, PYTHONPATH=pythonpath)
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-# imported by the interpreter at start-up from PYTHONPATH: at exit it writes
-# out sys.modules, so a module loaded by importlib.import_module, which
-# `-X importtime` does not report, is listed too
-LIST_MODULES_AT_EXIT = """import atexit, sys
-atexit.register(lambda: open({path!r}, "w").write("\\n".join(sys.modules)))
+# runs `-m module args` or `-c code args` as the interpreter would, then
+# writes out sys.modules, so a module loaded by importlib.import_module, which
+# `-X importtime` does not report, is listed too; the interpreter's own
+# start-up hooks (sitecustomize, .pth files) run as in any other run
+LIST_MODULES_AFTER = """import runpy, sys
+listing, flag, target, *args = sys.argv[1:]
+sys.argv = [target if flag == "-m" else flag, *args]
+try:
+    if flag == "-m":
+        runpy.run_module(target, run_name="__main__", alter_sys=True)
+    else:
+        exec(target, {"__name__": "__main__"})
+finally:
+    with open(listing, "w") as out:
+        out.write("\\n".join(sys.modules))
 """
 
 
 def loaded_modules(tmp_path, *argv):
-    """Every module in sys.modules when a fresh interpreter that ran argv exits."""
-    site, listing = tmp_path / "site", tmp_path / "modules.txt"
-    site.mkdir(exist_ok=True)
-    (site / "sitecustomize.py").write_text(LIST_MODULES_AT_EXIT.format(path=str(listing)))
-    proc = run_fresh(tmp_path, *argv, pythonpath=os.pathsep.join([SRC, str(site)]))
+    """Every module in sys.modules after a fresh interpreter ran argv."""
+    listing = tmp_path / "modules.txt"
+    proc = run_fresh(tmp_path, "-c", LIST_MODULES_AFTER, str(listing), *argv)
     assert proc.returncode == 0, proc.stderr
     return set(listing.read_text().split("\n"))
 
@@ -101,8 +109,10 @@ def test_import_alone_loads_no_submodule(tmp_path):
 
 def test_result_and_error_types_load_only_core(tmp_path):
     # a public name's first access loads its module through importlib
-    code = "import squarelab; squarelab.SquareResult; squarelab.MatrixParseError"
-    assert loaded_submodules(tmp_path, "-c", code) == {"core"}
+    code = ("import sys, squarelab; squarelab.SquareResult; squarelab.MatrixParseError; "
+            "print(sorted(name for name in sys.modules if name.startswith('squarelab.')))")
+    proc = run_fresh(tmp_path, "-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['squarelab.core']\n", "")
 
 
 # subcommand, its input, and every squarelab submodule it loads: no grid,
