@@ -31,6 +31,9 @@ from .core import (
 
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+# variates per getrandbits call in _random_cells: 32 KB of random bytes, small
+# enough that drawing them leaves a small `gen`'s peak RSS where it was
+_DRAW_BLOCK = 4096
 
 
 def _check_cells(cells: bytes) -> None:
@@ -305,11 +308,40 @@ def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> GridText:
 
 def _random_cells(spec: GenSpec) -> bytes:
     """The spec's cells in storage order: cell k is 1 when the k-th variate
-    of random.Random(spec.seed) is below spec.density."""
-    rand = random.Random(spec.seed).random
-    density = spec.density
+    of random.Random(spec.seed) is below spec.density.
+
+    That seed-to-grid mapping is unchanged from drawing one variate per
+    cell; the variates are drawn and thresholded a block at a time.  This
+    rests on two facts of CPython's Mersenne Twister.  `random()` is
+    (a * 2**26 + b) / 2**53, with a and b the top 27 and 26 bits of two
+    consecutive 32-bit outputs.  `getrandbits(64 * m)` fills its result
+    from the least significant 32-bit word up, in output order.  So byte
+    8i + 3 of `getrandbits(64 * m).to_bytes(8 * m, "little")` is the top
+    byte h of variate u_i, h = floor(256 * u_i).  With f = floor(256 *
+    density), the cell is 1 for every h < f and 0 for every h > f.  At
+    h == f it is 0 when 256 * density is whole; otherwise it is a tie,
+    about one variate in 256, settled with `random()`'s own formula on the
+    variate's eight bytes.
+    """
+    rng, density = random.Random(spec.seed), spec.density
     n = (spec.depth or 1) * spec.rows * spec.cols
-    return bytes(1 if rand() < density else 0 for _ in range(n))
+    scaled = 256 * density
+    f = int(scaled)
+    tie = 1 if f < scaled else 0
+    table = b"\x01" * f + b"\x02" * tie + b"\x00" * (256 - f - tie)
+    cells = bytearray(n)
+    for start in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - start)
+        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        cells[start:start + m] = raw[3::8].translate(table)
+        i = cells.find(2, start, start + m)
+        while i >= 0:
+            k = 8 * (i - start)
+            a = int.from_bytes(raw[k:k + 4], "little") >> 5
+            b = int.from_bytes(raw[k + 4:k + 8], "little") >> 6
+            cells[i] = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) < density
+            i = cells.find(2, i + 1, start + m)
+    return bytes(cells)
 
 
 def generate_matrix(spec: GenSpec) -> BinaryMatrix:

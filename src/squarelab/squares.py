@@ -244,13 +244,17 @@ def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) ->
     """Direct oracle: test the one window at each anchor that could beat the best.
 
     For each (top, left) it checks only the k x k window with k = best + 1,
-    one row segment at a time.  An all-ones window raises best to k and the
-    same anchor is tried at k + 1.  A zero at column z rules out every
-    anchor up to z on that top at side k, so left jumps to z + 1 (the
+    one row segment at a time.  The top row is searched for the next run of
+    k ones at or after left, and left jumps to it; a top row with no such
+    run ends that top.  An all-ones window raises best to k and the same
+    anchor is tried at k + 1.  A zero at column z in a lower row rules out
+    every anchor up to z on that top at side k, so left jumps to z + 1 (the
     bad-character skip of Boyer and Moore, CACM 20(10), 1977).
-    cells_visited counts the cells each segment scan reads, up to and
-    including its first zero, so it can be below rows*cols.  It allocates
-    no working storage, so an audit is left at 0.
+    cells_visited counts the cells each scan reads: a top-row search from
+    left to the end of the run it finds, or to the end of the row when it
+    finds none, and a lower-row segment up to and including its first zero,
+    so it can be below rows*cols.  It allocates no working storage, so an
+    audit is left at 0.
     """
     rows, cols, cells = m.rows, m.cols, m.cells
     if rows * cols > ORACLE_CELL_CAP:
@@ -262,10 +266,16 @@ def brute_force_square(m: BinaryMatrix, audit: AllocationAudit | None = None) ->
     top = 0
     while top + best < rows:
         left = 0
+        row0 = top * cols
         while left + best < cols and top + best < rows:
             k = best + 1
-            corner = top * cols + left
-            for start in range(corner, corner + k * cols, cols):
+            run = cells.find(b"\x01" * k, row0 + left, row0 + cols)
+            if run < 0:
+                visited += cols - left
+                break
+            visited += run + k - row0 - left
+            left = run - row0
+            for start in range(run + cols, run + k * cols, cols):
                 zero = cells.find(0, start, start + k)
                 if zero >= 0:
                     visited += zero - start + 1

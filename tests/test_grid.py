@@ -24,6 +24,8 @@ from squarelab.grid import (
     BinaryVolume,
     EdgeKind,
     GenSpec,
+    _DRAW_BLOCK,
+    _random_cells,
     generate_edge_case,
     generate_matrix,
     generate_volume,
@@ -212,6 +214,29 @@ def test_generate_matrix_pinned_count():
 def test_generate_matrix_density_tracks_target():
     m = generate_matrix(GenSpec(100, 100, 0.3, 9))
     assert 0.25 < m.ones() / 10000 < 0.35
+
+
+def test_random_cells_match_the_per_variate_rule():
+    # _random_cells thresholds the top byte of each variate in blocks of
+    # _DRAW_BLOCK draws and settles ties on the full variate; the reference
+    # is the rule it replaces, one random() call per cell.  256*d is whole
+    # for 0, 0.5 and 1 (no ties) and fractional for the rest.
+    block = _DRAW_BLOCK
+    densities = (0.0, 0.5, 1.0, 0.3, 0.93, 0.975, 1e-12, 1 - 1e-12)
+    shapes = [(1, n, None) for n in (block - 1, block, block + 1, 2 * block + 1)]
+    shapes += [(7, 9, 5), (40, 41, 3), (1, block + 1, 2)]
+    ties = 0
+    for seed, (d, (rows, cols, depth)) in enumerate(
+        itertools.product(densities, shapes)
+    ):
+        spec = GenSpec(rows, cols, d, seed, depth)
+        rand = random.Random(seed).random
+        draws = [rand() for _ in range((depth or 1) * rows * cols)]
+        expected = bytes(1 if u < d else 0 for u in draws)
+        assert _random_cells(spec) == expected, spec
+        if int(256 * d) != 256 * d:
+            ties += sum(int(256 * u) == int(256 * d) for u in draws)
+    assert ties > 0
 
 
 def test_gen_spec_validation():

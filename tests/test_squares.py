@@ -235,6 +235,20 @@ def test_brute_force_counts_the_cells_its_scans_read():
     assert brute_force_square(rows_matrix([[1, 1], [1, 0]])) == SquareResult(1, 1, 5)
 
 
+def test_brute_force_top_row_search_jumps_to_the_next_run():
+    # k=1 at top 0: the search for one 1 reads columns 0-2 and jumps left
+    # to 2, skipping anchors 0 and 1; best=1.  k=2 at (0,2): the search for
+    # two 1s reads columns 2-3 (2 cells), then row 1 reads columns 2-3 (2
+    # cells); best=2, and no 3x3 window fits: 3 + 2 + 2 = 7.
+    m = rows_matrix([[0, 0, 1, 1], [0, 0, 1, 1]])
+    assert brute_force_square(m) == SquareResult(2, 4, 7)
+    # k=1 at (0,0) reads one cell; best=1.  Top 0 has no run of two 1s:
+    # that search reads the whole row (3 cells) and ends the top, and no
+    # 2x2 window starts on top 1: 1 + 3 = 4.
+    m = rows_matrix([[1, 0, 1], [0, 1, 0]])
+    assert brute_force_square(m) == SquareResult(1, 1, 4)
+
+
 def test_allocation_audit_tracks_peak():
     audit = AllocationAudit()
     audit.add(10)
