@@ -31,8 +31,8 @@ from .core import (
 
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
-# variates per getrandbits call in _random_cells: 32 KB of random bytes, small
-# enough that drawing them leaves a small `gen`'s peak RSS where it was
+# variates per getrandbits call in _random_cells, so it holds 32 KB of random
+# bytes at a time whatever the grid's size
 _DRAW_BLOCK = 4096
 
 
@@ -310,9 +310,9 @@ def _random_cells(spec: GenSpec) -> bytes:
     """The spec's cells in storage order: cell k is 1 when the k-th variate
     of random.Random(spec.seed) is below spec.density.
 
-    That seed-to-grid mapping is unchanged from drawing one variate per
-    cell; the variates are drawn and thresholded a block at a time.  This
-    rests on two facts of CPython's Mersenne Twister.  `random()` is
+    The seed-to-grid mapping stays that of one `random()` call per cell,
+    which the tests pin; only the drawing and thresholding go a block at a
+    time.  This rests on two facts of CPython's Mersenne Twister.  `random()` is
     (a * 2**26 + b) / 2**53, with a and b the top 27 and 26 bits of two
     consecutive 32-bit outputs.  `getrandbits(64 * m)` fills its result
     from the least significant 32-bit word up, in output order.  So byte

@@ -219,8 +219,8 @@ def test_generate_matrix_density_tracks_target():
 def test_random_cells_match_the_per_variate_rule():
     # _random_cells thresholds the top byte of each variate in blocks of
     # _DRAW_BLOCK draws and settles ties on the full variate; the reference
-    # is the rule it replaces, one random() call per cell.  256*d is whole
-    # for 0, 0.5 and 1 (no ties) and fractional for the rest.
+    # is one random() call per cell.  256*d is whole for 0, 0.5 and 1 (no
+    # ties) and fractional for the rest.
     block = _DRAW_BLOCK
     densities = (0.0, 0.5, 1.0, 0.3, 0.93, 0.975, 1e-12, 1 - 1e-12)
     shapes = [(1, n, None) for n in (block - 1, block, block + 1, 2 * block + 1)]
