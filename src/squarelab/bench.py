@@ -9,6 +9,8 @@ rendered by one function from the column specs in TABLES.
 
 from __future__ import annotations
 
+import argparse
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -227,3 +229,31 @@ def render_table(
     else:
         lines = [",".join(cells) for cells in (headers, *rows)]
     return "\n".join(lines) + "\n"
+
+
+def run_bench(args: argparse.Namespace) -> int:
+    """`squarelab bench`: the options left unset take BenchConfig's defaults
+    and PLOT_SIZE; the table or plot series goes to stdout."""
+    from .cli import BASELINE_FLAGS
+
+    options = {
+        "sizes": args.sizes,
+        "densities": args.densities,
+        "runs": args.runs,
+        "trim_fraction": args.trim,
+        "seed": args.seed,
+        "baseline": BASELINE_FLAGS.get(args.baseline),
+        "warmup_runs": args.warmup,
+    }
+    config = BenchConfig(**{k: v for k, v in options.items() if v is not None})
+    target = PlotTarget(args.plot) if args.plot else None
+    edge = args.edge_cases or target is PlotTarget.EDGE_SPEEDUPS
+    records = run_edge_cases(config) if edge else run_grid(config)
+    if target is None:
+        key = ("edge" if edge else "grid", args.format)
+    else:
+        size = PLOT_SIZE if args.plot_size is None else args.plot_size
+        key, records = target, plot_selection(records, target, size)
+    markdown = target is None and args.format == "md"
+    sys.stdout.write(render_table(records, TABLES[key], markdown))
+    return 0

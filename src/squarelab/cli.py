@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import isqrt
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
-from .core import ORACLE_CELL_CAP, MatrixParseError, PlotTarget, read_grid
+from .core import MatrixParseError, PlotTarget, read_grid
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CSV written when disagreements are found")
 
     # the bench options left unset (None) take BenchConfig's defaults and
-    # PLOT_SIZE in _cmd_bench, so building this parser loads no bench
+    # PLOT_SIZE in bench.run_bench, so building this parser loads no bench
     p_bench = sub.add_parser("bench", help="time the frequency solver against a DP baseline")
     p_bench.add_argument("--sizes", type=_list_of(int))
     p_bench.add_argument("--densities", type=_list_of(float))
@@ -177,79 +176,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import (
-        edge_case_suite,
-        exhaustive_sweep,
-        random_campaign,
-        render_mismatch_csv,
-        render_report,
-    )
+    from .verify import run_verify
 
-    if args.exhaustive_max < 1:
-        raise ValueError("--exhaustive-max must be positive")
-    if args.random_count < 1:
-        raise ValueError("--random-count must be positive")
-    if args.max_dim < 1:
-        raise ValueError("--max-dim must be positive")
-    if args.max_dim ** 2 > ORACLE_CELL_CAP:
-        raise ValueError(
-            f"--max-dim {args.max_dim} allows {args.max_dim}x{args.max_dim} cases, "
-            f"over the oracle cap of {ORACLE_CELL_CAP} cells "
-            f"(--max-dim {isqrt(ORACLE_CELL_CAP)} at most)")
-    sections = [
-        ("exhaustive", exhaustive_sweep(args.exhaustive_max, args.exhaustive_max)),
-        ("random", random_campaign(args.random_count, args.max_dim,
-                                   DEFAULT_DENSITIES, args.seed)),
-        ("edges", edge_case_suite()),
-    ]
-    findings = False
-    for name, report in sections:
-        print(f"[{name}]")
-        sys.stdout.write(render_report(report))
-        print(f"{name}: elapsed {report.elapsed:.3f}s", file=sys.stderr)
-        if not report.clean:
-            findings = True
-    if findings:
-        reports = [report for _, report in sections]
-        if any(report.mismatches for report in reports):
-            _write_file(args.mismatch_out, render_mismatch_csv(*reports))
-            print(f"mismatches written to {args.mismatch_out}", file=sys.stderr)
-        return 1
-    return 0
+    return run_verify(args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        PLOT_SIZE,
-        TABLES,
-        BenchConfig,
-        plot_selection,
-        render_table,
-        run_edge_cases,
-        run_grid,
-    )
+    from .bench import run_bench
 
-    options = {
-        "sizes": args.sizes,
-        "densities": args.densities,
-        "runs": args.runs,
-        "trim_fraction": args.trim,
-        "seed": args.seed,
-        "baseline": BASELINE_FLAGS.get(args.baseline),
-        "warmup_runs": args.warmup,
-    }
-    config = BenchConfig(**{k: v for k, v in options.items() if v is not None})
-    target = PlotTarget(args.plot) if args.plot else None
-    edge = args.edge_cases or target is PlotTarget.EDGE_SPEEDUPS
-    records = run_edge_cases(config) if edge else run_grid(config)
-    if target is None:
-        key = ("edge" if edge else "grid", args.format)
-    else:
-        size = PLOT_SIZE if args.plot_size is None else args.plot_size
-        key, records = target, plot_selection(records, target, size)
-    markdown = target is None and args.format == "md"
-    sys.stdout.write(render_table(records, TABLES[key], markdown))
-    return 0
+    return run_bench(args)
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:

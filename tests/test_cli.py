@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,92 @@ def test_verify_max_dim_over_the_oracle_cap_fails_up_front(capsys, monkeypatch, 
     assert code == 2
     assert out == ""
     assert f"--max-dim {max_dim}" in err and "10000" in err
+
+
+def verify_on(capsys, monkeypatch, cpus, *argv):
+    """Run `verify argv` as `cpus` shards; it must leave no child behind."""
+    import squarelab.verify
+
+    monkeypatch.setattr(squarelab.verify, "_cpus", lambda: cpus)
+    result = run(capsys, "verify", *argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+@pytest.mark.parametrize("finding", [False, True], ids=["clean", "finding"])
+def test_verify_writes_the_same_on_any_cpu_count(tmp_path, capsys, monkeypatch, finding):
+    import squarelab.verify
+
+    if finding:  # the edge suite's stand-in finding, and one in every campaign
+        monkeypatch.setattr(squarelab.verify, "freq_square",
+                            lambda m: SquareResult(0, 0, m.rows * m.cols))
+    csv = tmp_path / "found.csv"
+    results = []
+    for cpus in (1, 2, 3):
+        code, out, err = verify_on(capsys, monkeypatch, cpus, "--exhaustive-max", "2",
+                                   "--random-count", "7", "--max-dim", "4", "--seed", "9",
+                                   "--mismatch-out", str(csv))
+        written = csv.read_text(encoding="ascii") if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        results.append((code, out, re.sub(r"\d+\.\d+s", "", err), written))
+    assert results[0][0] == int(finding) and (results[0][3] is None) != finding
+    assert results[1:] == [results[0]] * 2
+
+
+def out_of_memory():
+    raise MemoryError
+
+
+# what a shard's child does instead of its first case -> verify's exit and message
+CHILD_FAILURES = {
+    "out-of-memory": (out_of_memory, 3, "squarelab: out of memory\n"),
+    "raises": (lambda: 1 / 0, 2,
+               "squarelab: verify shard 1 of 3 failed: ZeroDivisionError: division by zero\n"),
+    "dies": (lambda: os._exit(7), 2,
+             "squarelab: verify shard 1 of 3 ended with status 7 and no report\n"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(CHILD_FAILURES))
+def test_a_failed_shard_fails_verify_and_leaves_no_child(capsys, monkeypatch, failure):
+    import squarelab.verify
+
+    fail, code, err = CHILD_FAILURES[failure]
+    parent = os.getpid()
+
+    def freq(m):
+        if os.getpid() != parent:
+            fail()
+        return squares.freq_square(m)
+
+    monkeypatch.setattr(squarelab.verify, "freq_square", freq)
+    assert verify_on(capsys, monkeypatch, 3, "--exhaustive-max", "1", "--random-count", "5",
+                     "--max-dim", "3") == (code, "", err)
+
+
+def test_interrupted_verify_kills_its_children(capsys, monkeypatch):
+    import squarelab.verify
+
+    parent = os.getpid()
+
+    def freq(m):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a shard still running when the parent is interrupted
+
+    monkeypatch.setattr(squarelab.verify, "freq_square", freq)
+    start = time.monotonic()
+    assert verify_on(capsys, monkeypatch, 3, "--exhaustive-max", "1", "--random-count", "5",
+                     "--max-dim", "3") == (130, "", "squarelab: interrupted\n")
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("argv", [["--exhaustive-max", "99"], ["--max-dim", "101"]])
+def test_verify_checks_its_arguments_before_any_fork(capsys, monkeypatch, argv):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+    code, out, err = verify_on(capsys, monkeypatch, 2, *argv)
+    assert (code, out) == (2, "") and err.startswith("squarelab: ")
 
 
 def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -206,3 +206,72 @@ def test_report_and_finding_values():
         hash(a)
     with pytest.raises(AttributeError):
         failure.row = 0
+
+
+def miscounting(m):
+    """Right side, but one cell short of a full pass when the ones are odd."""
+    r = dp_full(m)
+    return SquareResult(r.side, r.area, r.cells_visited - m.cells.count(1) % 2)
+
+
+# "bits" is a single-pass name, so its short visit counts are findings
+FAULTY = DEFAULT_SOLVERS + (("broken", broken_solver), ("bits", miscounting))
+
+
+def concatenated(reports):
+    return (sum(r.cases_run for r in reports),
+            [mm for r in reports for mm in r.mismatches],
+            [f for r in reports for f in r.invariant_failures])
+
+
+def assert_shards_concatenate(campaign):
+    whole = campaign((0, 1))
+    assert not whole.clean
+    for n in (1, 2, 3, 7):
+        shards = [campaign((k, n)) for k in range(n)]
+        assert concatenated(shards) == concatenated([whole]), n
+
+
+def test_exhaustive_shards_concatenate_to_the_whole_sweep():
+    # 682 cases, which neither 3 nor 7 divides
+    assert_shards_concatenate(lambda shard: exhaustive_sweep(3, 3, FAULTY, shard=shard))
+
+
+def test_random_shards_concatenate_to_the_whole_campaign(monkeypatch):
+    # a state check that always fails records where it ran: at the global
+    # indices 0, 100 and 200 of the 250 cases, whichever shard runs them
+    def failing_state_check(case_id, matrix, report):
+        report.invariant_failures.append(InvariantFailure(case_id, 0, "state checked"))
+
+    monkeypatch.setattr("squarelab.verify._check_freq_state", failing_state_check)
+    assert_shards_concatenate(
+        lambda shard: random_campaign(250, 6, (0.5, 0.9), 4, FAULTY, shard=shard))
+    checked = [f.case_id for f in random_campaign(250, 6, (0.5,), 4).invariant_failures
+               if f.description == "state checked"]
+    assert checked == ["random#0", "random#100", "random#200"]
+
+
+def test_edge_shards_concatenate_to_the_whole_suite(monkeypatch):
+    # 7 shards of the 5 cases leave two of them empty
+    monkeypatch.setattr("squarelab.verify.freq_square",
+                        lambda m: SquareResult(0, 0, m.rows * m.cols))
+    assert_shards_concatenate(lambda shard: edge_case_suite(shard=shard))
+    assert [edge_case_suite(shard=(k, 7)).cases_run for k in range(7)] == [0, 1, 1, 0, 1, 1, 1]
+
+
+def test_random_shard_builds_only_its_own_matrices(monkeypatch):
+    import squarelab.verify
+
+    built, generate = [], squarelab.verify.generate_matrix
+    monkeypatch.setattr(squarelab.verify, "generate_matrix",
+                        lambda spec: built.append(spec) or generate(spec))
+    whole = random_campaign(10, 5, (0.5,), 8)
+    specs, built[:] = built[:], []
+    shard = random_campaign(10, 5, (0.5,), 8, shard=(1, 2))
+    assert built == specs[5:] and shard.cases_run == 5 == whole.cases_run - 5
+
+
+@pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0)])
+def test_a_shard_outside_its_count_is_refused(shard):
+    with pytest.raises(ValueError, match="does not exist"):
+        edge_case_suite(shard=shard)
