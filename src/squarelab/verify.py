@@ -390,11 +390,11 @@ def _shard_child(args: argparse.Namespace, shard: Shard, write_end: int) -> NoRe
     text of what it raised, to the parent; never returns."""
     try:
         try:
-            reply = (None, _shard_reports(args, shard))
+            reply = marshal.dumps((None, _shard_reports(args, shard)))
         except BaseException as exc:  # the parent raises it; a child ends here
-            reply = (type(exc).__name__, str(exc))
+            reply = marshal.dumps((type(exc).__name__, str(exc)))
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(reply))
+            pipe.write(reply)
     finally:
         os._exit(0)
 

@@ -316,8 +316,9 @@ def test_verify_finding_exits_1_and_writes_the_mismatches(tmp_path, capsys, monk
     ]
 
 
-def test_verify_cap_exceeded_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--exhaustive-max", "99")
+def test_verify_cap_exceeded_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+    code, _, err = verify_on(capsys, monkeypatch, 2, "--exhaustive-max", "99")
     assert code == 2
     assert "enumerations" in err
 
@@ -331,7 +332,8 @@ def test_verify_max_dim_over_the_oracle_cap_fails_up_front(capsys, monkeypatch, 
 
     for name in ("exhaustive_sweep", "random_campaign", "edge_case_suite"):
         monkeypatch.setattr(squarelab.verify, name, no_campaign)
-    code, out, err = run(capsys, "verify", "--max-dim", max_dim)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+    code, out, err = verify_on(capsys, monkeypatch, 2, "--max-dim", max_dim)
     assert code == 2
     assert out == ""
     assert f"--max-dim {max_dim}" in err and "10000" in err
@@ -352,7 +354,7 @@ def verify_on(capsys, monkeypatch, cpus, *argv):
 def test_verify_writes_the_same_on_any_cpu_count(tmp_path, capsys, monkeypatch, finding):
     import squarelab.verify
 
-    if finding:  # the edge suite's stand-in finding, and one in every campaign
+    if finding:  # the edge suite's stand-in finding
         monkeypatch.setattr(squarelab.verify, "freq_square",
                             lambda m: SquareResult(0, 0, m.rows * m.cols))
     csv = tmp_path / "found.csv"
@@ -414,13 +416,6 @@ def test_interrupted_verify_kills_its_children(capsys, monkeypatch):
     assert verify_on(capsys, monkeypatch, 3, "--exhaustive-max", "1", "--random-count", "5",
                      "--max-dim", "3") == (130, "", "squarelab: interrupted\n")
     assert time.monotonic() - start < 30
-
-
-@pytest.mark.parametrize("argv", [["--exhaustive-max", "99"], ["--max-dim", "101"]])
-def test_verify_checks_its_arguments_before_any_fork(capsys, monkeypatch, argv):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
-    code, out, err = verify_on(capsys, monkeypatch, 2, *argv)
-    assert (code, out) == (2, "") and err.startswith("squarelab: ")
 
 
 def test_solve_dp2d_over_its_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
