@@ -1,22 +1,27 @@
 """Bit-sliced counters and whole-grid bitboards on Python ints, shared by
 the square, rectangle and cube kernels; `sweep`, the one frequency sweep
 that freq_bits and max_cube run; and the two kernels `solve` and `cube`
-run on a file's text, `freq_bits_text` and `max_cube_text`, each one
-`sweep`, kept here so that neither subcommand loads `squares` or `cubes`.
+run, each one `sweep`, kept here so that neither subcommand loads
+`squares` or `cubes`: `freq_bits_lines`, on the blocks of whole lines
+`core.read_lines` reads from a file as it goes, and `max_cube_text`, on
+a volume's whole text.
 
-The packers read a grid's '0'/'1' text (`core.GridText`): a file's own
-bytes, or a BinaryMatrix's or BinaryVolume's cells translated once.  A
-grid row is packed into one int, column 0 in the most significant of
-`cols` bits, and a grid column the same way, row 0 on top; the helpers
-below take it as a row whose columns are the grid's rows.  A layer
-(`text_layers`), and so a whole matrix, which is one layer, is one
-board, in one layout: row 0 in the top bits and each row's newline its
-zero guard bit, so the stride is cols + 1 and a shift by less than a
-stride never carries a run of ones into the next row.  The board packer
-reads eight lines at a time and makes no copy the size of the text.  A
-counter is a list of planes, least significant first: bit p of planes[k]
-is bit k of the count at position p.  Each helper works on every
-position of a row, layer or grid at once with a few big-int operations.
+The packers read a grid's '0'/'1' text: a block of whole lines
+(`line_rows`, `fold_columns`), or a whole text (`core.GridText`), a
+file's own bytes or a BinaryMatrix's or BinaryVolume's cells translated
+once, which is one such block.  A grid row is packed into one int,
+column 0 in the most significant of `cols` bits, and a grid column the
+same way, row 0 on top, each block's slice of it folded in below the
+rows before; the helpers below take it as a row whose columns are the
+grid's rows.  A layer (`text_layers`), and so a whole matrix, which is
+one layer, is one board, in one layout: row 0 in the top bits and each
+row's newline its zero guard bit, so the stride is cols + 1 and a shift
+by less than a stride never carries a run of ones into the next row.
+The board packer reads eight lines at a time and makes no copy the size
+of the text.  A counter is a list of planes, least significant first:
+bit p of planes[k] is bit k of the count at position p.  Each helper
+works on every position of a row, layer or grid at once with a few
+big-int operations.
 """
 
 from __future__ import annotations
@@ -35,29 +40,42 @@ def check_matrix(t: GridText) -> None:
         raise ValueError(f"a matrix is one layer, not {t.depth}")
 
 
+def line_rows(block: bytes, cols: int) -> Iterator[int]:
+    """Each line of `block`, whole lines of `cols` '0'/'1' cells and a
+    newline, as an int, column 0 in the most significant bit.  Lines with no
+    columns have no rows to pack."""
+    stride = cols + 1
+    for start in range(0, len(block) if cols else 0, stride):
+        yield int(block[start:start + cols], 2)
+
+
+def fold_columns(columns: list[int], block: bytes) -> int:
+    """Fold each column of `block`, whole lines of len(columns) '0'/'1' cells
+    and a newline, into `columns` below the lines before it, row 0 in the
+    most significant bit; return the number of lines.
+
+    Column j is one strided slice of the block, so no transposed copy of
+    the grid is made and the text is held a block at a time.
+    """
+    stride = len(columns) + 1
+    lines = len(block) // stride
+    for j, column in enumerate(columns):
+        columns[j] = column << lines | int(block[j::stride], 2)
+    return lines
+
+
 def text_rows(t: GridText) -> Iterator[int]:
-    """Each row of `t` as an int, column 0 in the most significant bit.
-
-    A matrix with no columns has no rows to pack.
-    """
+    """Each row of `t` as an int, column 0 in the most significant bit."""
     check_matrix(t)
-    text, cols, stride = t.text, t.cols, t.cols + 1
-    if cols == 0:
-        return
-    for start in range(0, t.rows * stride, stride):
-        yield int(text[start:start + cols], 2)
+    return line_rows(t.text, t.cols)
 
 
-def text_columns(t: GridText) -> Iterator[int]:
-    """Each column of `t` as an int, row 0 in the most significant bit.
-
-    One strided slice of the text per column, so no transposed copy of
-    the grid is ever made.
-    """
+def text_columns(t: GridText) -> list[int]:
+    """Each column of `t` as an int, row 0 in the most significant bit."""
     check_matrix(t)
-    text, stride = t.text, t.cols + 1
-    for j in range(t.cols):
-        yield int(text[j::stride], 2)
+    columns = [0] * t.cols
+    fold_columns(columns, t.text)
+    return columns
 
 
 def _board(text: bytes, start: int, stop: int, stride: int) -> int:
@@ -166,14 +184,46 @@ def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[in
     return best, len(planes)
 
 
+def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResult:
+    """squares.freq_bits on a matrix's lines of `cols` cells, given a block
+    of whole lines at a time, sweeping its shorter axis.  A square's side is
+    the same on the transpose, so the answer is freq_bits' either way.
+
+    `rows`, the number of lines or an estimate, -1 when unknown, only picks
+    the axis.  Up to cols, each block's rows are swept as it comes, so the
+    sweep holds a block and O(cols log rows) bits of counter planes; once
+    the side reaches cols no row is packed, but every block is still read.
+    Above it, each block is folded into one int per column
+    (`fold_columns`), and the columns, one bit per cell, are swept at the
+    end.  A block is let go before the next is read.
+    """
+    blocks, stride = iter(blocks), cols + 1
+    if rows > cols:
+        columns, rows = [0] * cols, 0
+        for block in blocks:
+            rows += fold_columns(columns, block)
+            del block
+        best = sweep(columns, (1,), min(rows, cols))[0]
+        return SquareResult(best, best * best, rows * cols)
+    rows = 0
+
+    def lines() -> Iterator[int]:
+        nonlocal rows
+        for block in blocks:
+            rows += len(block) // stride
+            yield from line_rows(block, cols)
+            del block
+
+    best = sweep(lines(), (1,), cols)[0]
+    for block in blocks:  # the sweep stopped at its limit; check the rest
+        rows += len(block) // stride
+    return SquareResult(best, best * best, rows * cols)
+
+
 def freq_bits_text(t: GridText) -> SquareResult:
-    """squares.freq_bits on a matrix's text, sweeping its shorter axis: the
-    rows when rows <= cols, else the columns.  A square's side is the same
-    on the transpose, so the answer is freq_bits' either way."""
+    """freq_bits_lines on a matrix's text, its one block."""
     check_matrix(t)
-    lines = text_rows(t) if t.rows <= t.cols else text_columns(t)
-    best = sweep(lines, (1,), min(t.rows, t.cols))[0]
-    return SquareResult(best, best * best, t.rows * t.cols)
+    return freq_bits_lines((t.text,), t.cols, t.rows)
 
 
 def max_cube_text(v: GridText) -> CubeResult:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
-from .core import MatrixParseError, PlotTarget, read_grid
+from .core import MatrixParseError, PlotTarget, read_grid, read_lines
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -25,8 +25,8 @@ BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 DP2D_CELL_CAP = 1_000_000
 
 # `solve --algo` flag -> squares function name; `bits` runs as
-# bitplanes.freq_bits_text on the file's text, so only the others load
-# squares (and grid, for the BinaryMatrix they take)
+# bitplanes.freq_bits_lines on the input as it is read, so only the others
+# load squares (and grid, for the BinaryMatrix they take)
 SOLVE_ALGOS = {
     "bits": "freq_bits",
     "freq": "freq_square",
@@ -144,12 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    text = read_grid(_read_bytes(args.path), layers=False)
     if args.algo == "bits":
-        from .bitplanes import freq_bits_text
+        from .bitplanes import freq_bits_lines
 
-        result = freq_bits_text(text)
+        if args.path == "-":
+            result = freq_bits_lines(*read_lines(sys.stdin.buffer))
+        else:
+            with open(args.path, "rb") as stream:
+                result = freq_bits_lines(*read_lines(stream))
     else:
+        text = read_grid(_read_bytes(args.path), layers=False)
         cells = text.rows * text.cols
         if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
             raise ValueError(

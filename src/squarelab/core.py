@@ -1,15 +1,19 @@
 """What `solve`, `rect` and `cube` run besides their kernel: the value base,
 the result types, the error types and the read path.
 
-A file's bytes are read by `read_grid`: a well-formed file is checked
-with a few whole-buffer operations and then read in place as GridText, a
-matrix being a volume of one layer, whose row, column and layer slices
-`bitplanes` packs.  This module knows a grid only as that text: the 0/1
-cell types, and the conversions between them and the text (`to_text`,
-`from_text`), are in `grid`, which this module imports only when a file
-fails the bulk check, for the line parser that names the line it fails
-on.  So `solve`, `rect` and `cube` on a well-formed file never import
-`grid`, and, with no bytecode cached, compile only the source they run.
+One check reads a file: `_is_lines` checks a block of whole lines, about
+BLOCK bytes, with a few whole-buffer operations.  `solve` reads its input
+a block at a time with `read_lines`, each block checked as it arrives, so
+it never holds the whole text.  `rect` and `cube` read the whole file with
+`read_grid` as GridText, a matrix being a volume of one layer, whose
+check runs over the text a block at a time, and `bitplanes` packs its
+row, column and layer slices.  This module knows a grid only as that
+text: the 0/1 cell types, and the conversions between them and the text
+(`to_text`, `from_text`), are in `grid`, which this module imports only
+when a file fails the check, for the line parser that names the line it
+fails on.  So `solve`, `rect` and `cube` on a well-formed file never
+import `grid`, and, with no bytecode cached, compile only the source they
+run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`
@@ -19,11 +23,20 @@ that `cli` can use them without loading `bench`, `squares` or `grid`.
 
 from __future__ import annotations
 
+import os
 from enum import Enum
 from operator import itemgetter
+from stat import S_ISREG
+from typing import BinaryIO, Iterator
 
 # the largest input, in cells, the brute-force square oracle accepts
 ORACLE_CELL_CAP = 10_000
+
+# about the bytes of whole lines checked at a time: a block `solve` reads,
+# or a slice of the text GridText checks; the check deletes the cells from
+# a piece of it at a time, so the copies it makes stay small next to it
+BLOCK = 1 << 16
+_PIECE = 1 << 13
 
 
 class MatrixParseError(ValueError):
@@ -141,17 +154,34 @@ class CubeResult(_Result):
         return tuple.__new__(cls, (side, volume_visited))
 
 
+def _is_lines(block: bytes, stride: int) -> bool:
+    # whether block is whole lines of stride - 1 '0'/'1' cells, each ending
+    # in a newline: its length is a multiple of the stride, there is a
+    # newline at every stride, and deleting every '0' and '1' leaves no more
+    # bytes than those newlines
+    lines, extra = divmod(len(block), stride)
+    return (not extra and block[stride - 1::stride] == b"\n" * lines
+            and sum(len(block[i:i + _PIECE].translate(None, b"01"))
+                    for i in range(0, len(block), _PIECE)) == lines)
+
+
+def _block_size(stride: int) -> int:
+    # the bytes of the whole lines, `stride` bytes each, that make a block
+    return max(BLOCK // stride, 1) * stride
+
+
 def _is_grid_text(text: bytes, depth: int, rows: int, cols: int) -> bool:
     # whether text is depth layers of rows lines of cols '0'/'1' cells, each
-    # line ending in a newline and the layers joined by one blank line: the
-    # blank lines and the row ends are newlines, and there are no others
+    # line ending in a newline and the layers joined by one blank line; each
+    # layer's lines are checked a block at a time, as `solve` reads a file,
+    # so no copy the size of the text is made
     stride = cols + 1
-    pitch = rows * stride + 1
+    pitch, size = rows * stride + 1, _block_size(stride)
     return (min(depth, rows, cols) >= 0 and len(text) == max(depth * pitch - 1, 0)
             and text[pitch - 1::pitch] == b"\n" * (depth - 1)
-            and all(text[d * pitch + cols:d * pitch + rows * stride:stride] == b"\n" * rows
-                    for d in range(depth))
-            and text.translate(None, b"01") == b"\n" * (depth * (rows + 1) - 1))
+            and all(_is_lines(text[i:min(i + size, layer + pitch - 1)], stride)
+                    for layer in range(0, depth * pitch, pitch)
+                    for i in range(layer, layer + pitch - 1, size)))
 
 
 class GridText(_Record):
@@ -161,9 +191,10 @@ class GridText(_Record):
     bytes at d * pitch, pitch being one more; in it, row i is the cols bytes
     at i * (cols + 1), and column j is every (cols + 1)-th byte from j.
 
-    `__new__` checks the whole text with a few whole-buffer operations, so
-    every slice the packers in `bitplanes` hand to int(.., 2), which would
-    also take whitespace, '_' or a sign, is '0'/'1' digits.  A grid with no
+    `__new__` checks the whole text, each layer's lines a block at a time
+    as `solve` reads a file, so every slice the packers in `bitplanes`
+    hand to int(.., 2), which would also take whitespace, '_' or a sign,
+    is '0'/'1' digits.  A grid with no
     cells is the empty volume (0x0x0) or a matrix with no columns (rows x 0,
     its text one newline per row), as BinaryMatrix and BinaryVolume have it.
     """
@@ -210,3 +241,55 @@ def read_grid(data: bytes, layers: bool) -> GridText:
     # names it and its line
     lines = data.decode("utf-8", "surrogateescape")
     return (parse_volume if layers else parse_matrix)(lines).to_text()
+
+
+def read_lines(stream: BinaryIO) -> tuple[Iterator[bytes], int, int]:
+    """A matrix file read from `stream` a block of whole lines at a time:
+    its blocks, each checked in bulk as it is read, the width of its lines,
+    and the number of lines its size gives, -1 when it has none (a pipe).
+
+    The first line gives the width, as in read_grid, and the last line may
+    omit its newline.  A block is about BLOCK bytes of whole lines when
+    every line before it is a row of that width; one that fails the check,
+    and a blank first line, goes with the rest of the line it ends in to
+    the line parser, which raises the error, naming the line, that it
+    raises on the whole text.  The empty file has no blocks.
+    """
+    first = stream.readline()
+    cols = len(first) - first.endswith(b"\n")
+    try:
+        st = os.fstat(stream.fileno())
+    except OSError:  # a stream with no file descriptor, such as a BytesIO
+        rows = -1
+    else:
+        rows = -(-st.st_size // (cols + 1)) if S_ISREG(st.st_mode) else -1
+    return _checked_blocks(stream, first, cols), cols, rows
+
+
+def _checked_blocks(stream: BinaryIO, first: bytes, cols: int) -> Iterator[bytes]:
+    stride = cols + 1
+    size = _block_size(stride)
+    block = first + stream.read(size - len(first)) if first.endswith(b"\n") else first
+    line = 1
+    while block:
+        ended = len(block) < size  # a read comes back short only at the end
+        if ended and not block.endswith(b"\n"):
+            block += b"\n"
+        if not (cols and _is_lines(block, stride)):
+            _raise_line_error(block if ended else block + stream.readline(), line, cols)
+        line += len(block) // stride
+        yield block
+        if ended:
+            return
+        del block  # so the last block is not held while the next is read
+        block = stream.read(size)
+
+
+def _raise_line_error(data: bytes, first: int, cols: int) -> None:
+    # data is whole lines of a matrix file from its line `first` on, every
+    # line before them a row `cols` cells wide, and holds a line that is
+    # not; the width is counted in characters, as the parser counts line 1
+    from .grid import _parse_rows, _split_lines
+
+    lines = _split_lines(data.decode("utf-8", "surrogateescape"))
+    _parse_rows(lines, first, cols if first > 1 else len(lines[0]))

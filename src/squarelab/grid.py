@@ -9,9 +9,10 @@ BinaryMatrix and BinaryVolume, the cell values the library solvers take,
 hold the one codec between a grid and its file text (`core.GridText`, in
 which a matrix is one layer, and which `bitplanes` packs): `from_text`,
 and `to_text`, which for both types is `_text_of`.  A well-formed file is
-read in place by `core.read_grid`, which imports this module only for
-what its bulk check rejects: the line parsers here, `parse_matrix` and
-`parse_volume`, report it, naming the line.  The value base, the error
+read in place by `core.read_grid`, or a block of lines at a time by
+`core.read_lines`, which import this module only for what their check
+rejects: the line parsers here, `parse_matrix`, `parse_volume` and the
+row parser under both, report it, naming the line.  The value base, the error
 types, the text type and the read path are defined in `core`.
 """
 
@@ -219,11 +220,10 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_rows(lines: list[str], first: int) -> BinaryMatrix:
-    """Parse non-empty `lines` as one matrix; `first` is the 1-based number
-    of lines[0] in the whole text.  Each line is checked for blank, then
-    ragged, then bad characters."""
-    cols = len(lines[0])
+def _parse_rows(lines: list[str], first: int, cols: int) -> BinaryMatrix:
+    """Parse non-empty `lines` as one matrix of rows `cols` cells wide;
+    `first` is the 1-based number of lines[0] in the whole text.  Each line
+    is checked for blank, then ragged, then bad characters."""
     chunks = []
     for lineno, line in enumerate(lines, first):
         if not line:
@@ -244,7 +244,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     A blank line is an error: only volumes separate layers with blank lines.
     """
     lines = _split_lines(text)
-    return _parse_rows(lines, 1) if lines else EMPTY_MATRIX
+    return _parse_rows(lines, 1, len(lines[0])) if lines else EMPTY_MATRIX
 
 
 def serialize_matrix(grid: BinaryMatrix | BinaryVolume) -> str:
@@ -272,7 +272,7 @@ def parse_volume(text: str) -> BinaryVolume:
         lineno = end + 1  # the blank line closing the layer, or one past the text
         if start == end:
             raise LayerShapeMismatchError(f"empty layer before line {lineno}", lineno)
-        layer = _parse_rows(lines[start:end], start + 1)
+        layer = _parse_rows(lines[start:end], start + 1, len(lines[start]))
         first = layers[0] if layers else layer
         if (layer.rows, layer.cols) != (first.rows, first.cols):
             raise LayerShapeMismatchError(

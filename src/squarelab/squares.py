@@ -11,8 +11,8 @@ allocations to an AllocationAudit, so the single-pass and bounded-space
 claims are testable rather than taken on faith.
 
 `solve` by default runs neither this module nor `grid`: it runs
-`bitplanes.freq_bits_text` on the file's text and returns a SquareResult,
-defined in `core`.
+`bitplanes.freq_bits_lines` on its input as `core.read_lines` reads it
+and returns a SquareResult, defined in `core`.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
 
     This always sweeps the rows, so the counter holds O(cols log rows)
     words, the paper's O(n) space; sweeping the columns of a tall matrix
-    would hold O(rows log cols).  `bitplanes.freq_bits_text`, which `solve`
-    runs on a file already held in memory whole, sweeps the shorter axis
-    instead.
+    would hold O(rows log cols).  `bitplanes.freq_bits_lines`, which
+    `solve` runs on its input a block of lines at a time, sweeps the
+    shorter axis instead.
     """
     best, planes = sweep(text_rows(m.to_text()), (1,), min(m.rows, m.cols))
     if audit is not None:

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -13,6 +14,8 @@ from squarelab.bitplanes import (
     text_layers,
     text_rows,
 )
+from squarelab.cli import main
+from squarelab.core import GridText, _block_size
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -112,9 +115,39 @@ def test_text_board_makes_no_copy_of_the_text(rows, cols):
     assert peak_allocated(lambda t: next(text_layers(t)), t) < len(t.text) // 2
 
 
+# the check runs over the text a block of whole lines at a time, so `rect`
+# and `cube`, which read the whole file, hold no second copy of it
+@pytest.mark.parametrize("depth, rows, cols", [(1, 1000, 1000), (1, 4000, 250), (4, 250, 1000)])
+def test_grid_text_check_makes_no_copy_of_the_text(depth, rows, cols):
+    t = generate_volume(GenSpec(rows, cols, 0.5, rows, depth=depth)).to_text()
+    assert peak_allocated(lambda fields: GridText(*fields), t) < len(t.text) // 8
+
+
 def test_text_layers_make_no_copy_of_a_layer():
     t = generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)).to_text()
     assert peak_allocated(lambda t: list(text_layers(t)), t) < len(t.text) // 2
+
+
+# `solve` holds a block of the file at a time: on a matrix no taller than it
+# is wide, that block and the counter planes; on a taller one, the packed
+# columns, one bit per cell, and the block (the block checks a piece of
+# itself at a time).  What the file adds to a run's peak is measured above
+# that of the same run on an empty file, which holds the parser.
+@pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250)])
+def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, cols):
+    t = generate_matrix(GenSpec(rows, cols, 0.9, rows)).to_text()
+    path, empty = tmp_path / "m.txt", tmp_path / "empty.txt"
+    path.write_bytes(t.text)
+    empty.write_bytes(b"")
+    main(["solve", str(path)])  # loads what a run loads
+    added = (peak_allocated(main, ["solve", str(path)])
+             - peak_allocated(main, ["solve", str(empty)]))
+    assert capsys.readouterr().err == ""
+    if rows <= cols:
+        assert added < len(t.text) // 4
+    else:
+        columns = sum(map(sys.getsizeof, text_columns(t)))
+        assert added < columns + 2 * _block_size(cols + 1)
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import squarelab
-from squarelab import bench, cli, squares
+from squarelab import bench, bitplanes, cli, core, squares
 from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
-from squarelab.core import SquareResult
+from squarelab.core import MatrixParseError, SquareResult
+from squarelab.grid import GenSpec, generate_matrix, parse_matrix
 
 
 def run(capsys, *argv):
@@ -631,7 +632,8 @@ def test_memory_error_exits_3(capsys, monkeypatch):
 
 
 # the child limits its own address space to its size after the imports plus
-# MARGIN, which holds the file once but not the checked copy of it
+# MARGIN, which holds the file once but not the file and the rectangle
+# kernel's boards, an eighth of it each
 OOM_CHILD = """
 import resource, sys
 from squarelab import cli, histogram
@@ -647,7 +649,7 @@ sys.exit(cli.main(sys.argv[1:]))
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_running_out_of_memory_exits_3(tmp_path):
     path = tmp_path / "big.txt"
-    path.write_bytes((b"1" * 4000 + b"\n") * 3000)  # 12 MB
+    path.write_bytes((b"1" * 4000 + b"\n") * 4000)  # 16 MB
     env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", OOM_CHILD, "rect", str(path)],
                           capture_output=True, env=env, timeout=60)
@@ -713,3 +715,139 @@ def test_edge_inputs_print_what_the_line_parser_printed(tmp_path, capsys, monkey
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         where = str(path) if source == "file" else "-"
         assert run(capsys, command[0], where, *command[1:]) == want[kind], command
+
+
+def line_parser_says(data):
+    """What `squarelab solve` prints when the whole text goes through the
+    line parser: the square it finds, or the error it names."""
+    try:
+        m = parse_matrix(data.decode("utf-8", "surrogateescape"))
+    except MatrixParseError as exc:
+        return parse_error(exc.line, str(exc))
+    side = squares.dp_rows(m).side
+    return 0, f"side={side} area={side * side}\n", ""
+
+
+SOURCES = ["file", "dash", "pipe"]
+
+
+def solve_from(capsys, monkeypatch, tmp_path, source, data):
+    """`squarelab solve` run in-process on `data` from a file, from `-` on a
+    stdin redirected from that file, or from a pipe (`data` must fit in its
+    buffer)."""
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    if source == "file":
+        return run(capsys, "solve", str(path))
+    if source == "dash":
+        stdin = open(path, "rb")
+    else:
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        stdin = open(read_end, "rb")
+    with stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+        return run(capsys, "solve", "-")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("name", EDGE_INPUTS)
+def test_edge_inputs_solve_the_same_a_few_lines_at_a_time(tmp_path, capsys, monkeypatch,
+                                                         name, source):
+    monkeypatch.setattr(core, "BLOCK", 6)  # two lines of two cells
+    data, want = EDGE_INPUTS[name][:2]
+    assert solve_from(capsys, monkeypatch, tmp_path, source, data) == want
+
+
+BAD_LINES = {"char": b"10x1\n", "short": b"101\n", "long": b"10111\n", "blank": b"\n",
+             "byte": b"1\xff11\n", "crlf": b"1011\r\n", "last": b"1011"}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("kind", BAD_LINES)
+def test_a_bad_line_anywhere_in_a_block_fails_as_the_line_parser_says(
+        tmp_path, capsys, monkeypatch, kind, source):
+    # three lines a block: each of three blocks gets the bad line at its
+    # first, middle and last line in turn
+    monkeypatch.setattr(core, "BLOCK", 15)
+    for at in range(9):
+        lines = [b"1011\n"] * 9
+        lines[at] = BAD_LINES[kind]
+        data = b"".join(lines)
+        want = line_parser_says(data)
+        assert want[0] == (0 if kind == "last" and at == 8 else 2)
+        assert solve_from(capsys, monkeypatch, tmp_path, source, data) == want, at
+
+
+# the child reads in blocks of argv[1] bytes of whole lines
+SOLVE_IN_BLOCKS = """import sys
+from squarelab import cli, core
+core.BLOCK = int(sys.argv[1])
+sys.exit(cli.main(["solve", *sys.argv[2:]]))
+"""
+SQUARE_OF_ONES = (b"1" * 300 + b"\n") * 300
+
+
+@pytest.mark.parametrize("tail", [b"1" * 299 + b"2\n", b"1" * 299 + b"\n", b"\n",
+                                  b"1" * 300 + b"\r\n", b""],
+                         ids=["invalid-char", "ragged", "trailing-blank", "crlf", "none"])
+def test_a_bad_last_line_fails_after_the_sweep_stops(tmp_path, tail):
+    # side 300 is the sweep's limit, reached on line 300; from a pipe, in
+    # blocks of five lines, no row is packed after it, yet line 301 is read
+    data = SQUARE_OF_ONES + tail
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    want = line_parser_says(data)
+    assert want[0] == (0 if not tail else 2)
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    for block in (core.BLOCK, 5 * 301):
+        argv = [sys.executable, "-c", SOLVE_IN_BLOCKS, str(block)]
+        for proc in (subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60),
+                     subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)):
+            assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+
+def test_a_valid_file_with_no_final_newline_still_solves(tmp_path, capsys, monkeypatch):
+    for block in (core.BLOCK, 5 * 301):
+        monkeypatch.setattr(core, "BLOCK", block)
+        for source in ("file", "dash"):
+            assert solve_from(capsys, monkeypatch, tmp_path, source, SQUARE_OF_ONES[:-1]) == (
+                0, "side=300 area=90000\n", "")
+
+
+def test_the_row_sweep_stops_packing_at_its_limit_and_reads_on(capsys, monkeypatch):
+    monkeypatch.setattr(core, "BLOCK", 5 * 301)
+    packed, pack = [], bitplanes.line_rows
+
+    def line_rows(block, cols):
+        for row in pack(block, cols):
+            packed.append(row)
+            yield row
+
+    monkeypatch.setattr(bitplanes, "line_rows", line_rows)
+    for tail, want in [(b"", (0, "side=300 area=90000\n", "")),
+                       (b"12\n", parse_error(601, "line 601 has 2 cells, expected 300"))]:
+        packed.clear()
+        # stdin with no file, so no size: the rows are swept
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(SQUARE_OF_ONES * 2 + tail)))
+        assert run(capsys, "solve") == want
+        assert len(packed) == 300
+
+
+def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeypatch):
+    # a file's size gives its rows, so it is folded into columns; a pipe has
+    # no size, so its rows are swept
+    monkeypatch.setattr(core, "BLOCK", 64)
+    folded = []
+    fold_columns = bitplanes.fold_columns
+    monkeypatch.setattr(bitplanes, "fold_columns",
+                        lambda columns, block: folded.append(block) or fold_columns(columns, block))
+    for seed in range(4):
+        m = generate_matrix(GenSpec(2000, 7, 0.95, seed))
+        data = m.to_text().text
+        for source in SOURCES:
+            folded.clear()
+            assert solve_from(capsys, monkeypatch, tmp_path, source, data) == \
+                line_parser_says(data)
+            assert b"".join(folded) == (b"" if source == "pipe" else data)

@@ -2,6 +2,9 @@
 the per-cell ones, monotonicity in the ones, and the shape of every rendered
 benchmark table."""
 
+import io
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
-from squarelab.bitplanes import freq_bits_text, max_cube_text
-from squarelab.core import MatrixParseError, RectResult, read_grid
+from squarelab import core
+from squarelab.bitplanes import freq_bits_lines, freq_bits_text, max_cube_text
+from squarelab.core import MatrixParseError, RectResult, read_grid, read_lines
 from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
 from squarelab.grid import (
     BinaryMatrix,
@@ -116,6 +120,30 @@ def test_bulk_read_agrees_with_the_line_parser(data):
     # shape and cells, and anything else fails with the line parser's error
     assert bulk_read(data, layers=False) == line_parse(parse_matrix, data)
     assert bulk_read(data, layers=True) == line_parse(parse_volume, data)
+
+
+def streamed_read(data, block, tall):
+    """`solve`'s read of data in blocks of `block` bytes of whole lines, down
+    the rows or, `tall`, folded into columns, or its error's line and
+    message."""
+    try:
+        with mock.patch.object(core, "BLOCK", block):
+            blocks, cols, rows = read_lines(io.BytesIO(data))
+            return freq_bits_lines(blocks, cols, len(data) if tall else rows)
+    except MatrixParseError as exc:
+        return exc.line, str(exc)
+
+
+@PROPERTY
+@given(st.one_of(files, grid_files), st.sampled_from([1, 4, 9, core.BLOCK]), st.booleans())
+@example(b"\n11\n11\n", 1, False)
+@example("1\u00e9\n11\n".encode(), 1, False)  # line 1's width is counted in characters
+def test_streamed_read_agrees_with_the_line_parser(data, block, tall):
+    # a grid the line parser reads has the side freq_bits finds in it, and
+    # anything else fails with the line parser's error
+    want = line_parse(parse_matrix, data)
+    assert streamed_read(data, block, tall) == (
+        freq_bits(want) if isinstance(want, BinaryMatrix) else want)
 
 
 def dense_cells(draw, n):
