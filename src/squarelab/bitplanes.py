@@ -190,10 +190,10 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResu
     the same on the transpose, so the answer is freq_bits' either way.
 
     `rows`, the number of lines or an estimate, -1 when unknown, only picks
-    the axis.  Up to cols, each block's rows are swept as it comes, so the
-    sweep holds a block and O(cols log rows) bits of counter planes; once
-    the side reaches cols no row is packed, but every block is still read.
-    Above it, each block is folded into one int per column
+    the axis.  When it is at most cols, each block's rows are swept as it
+    comes, so the sweep holds a block and O(cols log rows) bits of counter
+    planes; once the side reaches cols no row is packed, but every block is
+    still read.  Above cols, each block is folded into one int per column
     (`fold_columns`), and the columns, one bit per cell, are swept at the
     end.  A block is let go before the next is read.
     """
