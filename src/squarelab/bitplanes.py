@@ -6,22 +6,22 @@ run, each one `sweep`, kept here so that neither subcommand loads
 `core.read_lines` reads from a file as it goes, and `max_cube_text`, on
 a volume's whole text.
 
-The packers read a grid's '0'/'1' text: a block of whole lines
-(`line_rows`, `fold_columns`), or a whole text (`core.GridText`), a
-file's own bytes or a BinaryMatrix's or BinaryVolume's cells translated
-once, which is one such block.  A grid row is packed into one int,
-column 0 in the most significant of `cols` bits, and a grid column the
-same way, row 0 on top, each block's slice of it folded in below the
-rows before; the helpers below take it as a row whose columns are the
-grid's rows.  A layer (`text_layers`), and so a whole matrix, which is
-one layer, is one board, in one layout: row 0 in the top bits and each
-row's newline its zero guard bit, so the stride is cols + 1 and a shift
-by less than a stride never carries a run of ones into the next row.
-The board packer reads eight lines at a time and makes no copy the size
-of the text.  A counter is a list of planes, least significant first:
-bit p of planes[k] is bit k of the count at position p.  Each helper
-works on every position of a row, layer or grid at once with a few
-big-int operations.
+The packers read a grid's '0'/'1' text: the rows and columns of a block
+of whole lines (`line_rows`, `fold_columns`), which a matrix's whole text
+is too, and the layers of a whole text (`core.GridText`, `text_layers`),
+a file's own bytes or a BinaryMatrix's or BinaryVolume's cells
+translated once.  A grid row is packed into one int, column 0 in the
+most significant of `cols` bits, and a grid column the same way, row 0
+on top, each block's slice of it folded in below the rows before; the
+helpers below take it as a row whose columns are the grid's rows.  A
+layer, and so a whole matrix, which is one layer, is one board, in one
+layout: row 0 in the top bits and each row's newline its zero guard bit,
+so the stride is cols + 1 and a shift by less than a stride never
+carries a run of ones into the next row.  The board packer reads eight
+lines at a time and makes no copy the size of the text.  A counter is a
+list of planes, least significant first: bit p of planes[k] is bit k of
+the count at position p.  Each helper works on every position of a row,
+layer or grid at once with a few big-int operations.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ from .core import CubeResult, GridText, SquareResult
 
 # a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
-
-
-def check_matrix(t: GridText) -> None:
-    """Raise ValueError unless `t` is a matrix's text, one layer deep."""
-    if t.depth != 1:
-        raise ValueError(f"a matrix is one layer, not {t.depth}")
 
 
 def line_rows(block: bytes, cols: int) -> Iterator[int]:
@@ -62,20 +56,6 @@ def fold_columns(columns: list[int], block: bytes) -> int:
     for j, column in enumerate(columns):
         columns[j] = column << lines | int(block[j::stride], 2)
     return lines
-
-
-def text_rows(t: GridText) -> Iterator[int]:
-    """Each row of `t` as an int, column 0 in the most significant bit."""
-    check_matrix(t)
-    return line_rows(t.text, t.cols)
-
-
-def text_columns(t: GridText) -> list[int]:
-    """Each column of `t` as an int, row 0 in the most significant bit."""
-    check_matrix(t)
-    columns = [0] * t.cols
-    fold_columns(columns, t.text)
-    return columns
 
 
 def _board(text: bytes, start: int, stop: int, stride: int) -> int:
@@ -218,12 +198,6 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResu
     for block in blocks:  # the sweep stopped at its limit; check the rest
         rows += len(block) // stride
     return SquareResult(best, best * best, rows * cols)
-
-
-def freq_bits_text(t: GridText) -> SquareResult:
-    """freq_bits_lines on a matrix's text, its one block."""
-    check_matrix(t)
-    return freq_bits_lines((t.text,), t.cols, t.rows)
 
 
 def max_cube_text(v: GridText) -> CubeResult:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 
-from .core import MatrixParseError, PlotTarget, read_grid, read_lines
+from .core import GridText, MatrixParseError, PlotTarget, read_grid, read_lines
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -24,9 +25,8 @@ BASELINE_FLAGS = {"dp": "dp_rows", "dp2d": "dp_full"}
 # bench's largest grid and of the paper's tables
 DP2D_CELL_CAP = 1_000_000
 
-# `solve --algo` flag -> squares function name; `bits` runs as
-# bitplanes.freq_bits_lines on the input as it is read, so only the others
-# load squares (and grid, for the BinaryMatrix they take)
+# `solve --algo` flag -> squares function name; `bits` runs freq_bits_lines
+# instead, so only the others load squares (and grid, for their BinaryMatrix)
 SOLVE_ALGOS = {
     "bits": "freq_bits",
     "freq": "freq_square",
@@ -37,11 +37,11 @@ SOLVE_ALGOS = {
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _read_bytes(path: str | None) -> bytes:
+def _read_bytes(path: str) -> bytes:
     # stdin and files are both read as bytes, whatever the locale, so a '\r'
     # or a non-ASCII byte reaches core's checks and the line parser, which
     # names its line
-    if path is None or path == "-":
+    if path == "-":
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
 
@@ -144,24 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.algo == "bits":
-        from .bitplanes import freq_bits_lines
+    with (nullcontext(sys.stdin.buffer) if args.path == "-"
+          else open(args.path, "rb")) as stream:
+        blocks, cols, rows = read_lines(stream)
+        if args.algo == "bits":
+            from .bitplanes import freq_bits_lines
 
-        if args.path == "-":
-            result = freq_bits_lines(*read_lines(sys.stdin.buffer))
+            result = freq_bits_lines(blocks, cols, rows)
         else:
-            with open(args.path, "rb") as stream:
-                result = freq_bits_lines(*read_lines(stream))
-    else:
-        text = read_grid(_read_bytes(args.path), layers=False)
-        cells = text.rows * text.cols
-        if args.algo == "dp2d" and cells > DP2D_CELL_CAP:
-            raise ValueError(
-                f"{text.rows}x{text.cols} = {cells} cells exceeds dp2d cap {DP2D_CELL_CAP}")
-        from . import squares
-        from .grid import BinaryMatrix
+            text = b"".join(blocks)
+            rows = len(text) // (cols + 1)
+            if args.algo == "dp2d" and rows * cols > DP2D_CELL_CAP:
+                raise ValueError(
+                    f"{rows}x{cols} = {rows * cols} cells exceeds dp2d cap {DP2D_CELL_CAP}")
+            from . import squares
+            from .grid import BinaryMatrix
 
-        result = getattr(squares, SOLVE_ALGOS[args.algo])(BinaryMatrix.from_text(text))
+            m = BinaryMatrix.from_text(GridText(text, 1, rows, cols))
+            result = getattr(squares, SOLVE_ALGOS[args.algo])(m)
     print(f"side={result.side} area={result.area}")
     return 0
 

@@ -4,16 +4,17 @@ the result types, the error types and the read path.
 One check reads a file: `_is_lines` checks a block of whole lines, about
 BLOCK bytes, with a few whole-buffer operations.  `solve` reads its input
 a block at a time with `read_lines`, each block checked as it arrives, so
-it never holds the whole text.  `rect` and `cube` read the whole file with
-`read_grid` as GridText, a matrix being a volume of one layer, whose
+its default kernel never holds the whole text; its reference algorithms
+join the blocks into one GridText.  `rect` and `cube` read the whole file
+with `read_grid` as GridText, a matrix being a volume of one layer, whose
 check runs over the text a block at a time, and `bitplanes` packs its
-row, column and layer slices.  This module knows a grid only as that
-text: the 0/1 cell types, and the conversions between them and the text
-(`to_text`, `from_text`), are in `grid`, which this module imports only
-when a file fails the check, for the line parser that names the line it
-fails on.  So `solve`, `rect` and `cube` on a well-formed file never
-import `grid`, and, with no bytecode cached, compile only the source they
-run.
+layers.  This module knows a grid only as that text: the 0/1 cell types,
+and the conversions between them and the text (`to_text`, `from_text`),
+are in `grid`, which this module imports only when a file fails the
+check, for the line parser that names the line it fails on.  So `solve`,
+`rect` and `cube` with their default kernels never import `grid` on a
+well-formed file, and, with no bytecode cached, compile only the source
+they run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .bitplanes import check_matrix, has_run, text_layers
+from .bitplanes import has_run, text_layers
 from .core import GridText, RectResult
 
 if TYPE_CHECKING:
@@ -108,7 +108,8 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
 
 def maximal_rectangle_text(t: GridText) -> RectResult:
     """maximal_rectangle on a matrix's text, the file's bytes for `rect`."""
-    check_matrix(t)
+    if t.depth != 1:
+        raise ValueError(f"a matrix is one layer, not {t.depth}")
     rows, cols, stride, runs = t.rows, t.cols, t.cols + 1, next(text_layers(t))
     best, first, cap, w, width = 0, rows, rows, 1, 1
     while cap and runs:

@@ -10,16 +10,18 @@ how many cells it visited, and solvers can account their auxiliary
 allocations to an AllocationAudit, so the single-pass and bounded-space
 claims are testable rather than taken on faith.
 
-`solve` by default runs neither this module nor `grid`: it runs
-`bitplanes.freq_bits_lines` on its input as `core.read_lines` reads it
-and returns a SquareResult, defined in `core`.
+`solve` reads its input a block of lines at a time with `core.read_lines`.
+By default it runs neither this module nor `grid`: it runs
+`bitplanes.freq_bits_lines` on the blocks as they are read and returns a
+SquareResult, defined in `core`.  Its other `--algo` choices join the
+blocks and run a solver here on the BinaryMatrix of that text.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .bitplanes import sweep, text_rows
+from .bitplanes import line_rows, sweep
 from .core import (
     ORACLE_CELL_CAP,
     OracleCapExceededError,
@@ -165,7 +167,7 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     `solve` runs on its input a block of lines at a time, sweeps the
     shorter axis instead.
     """
-    best, planes = sweep(text_rows(m.to_text()), (1,), min(m.rows, m.cols))
+    best, planes = sweep(line_rows(m.to_text().text, m.cols), (1,), min(m.rows, m.cols))
     if audit is not None:
         audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)

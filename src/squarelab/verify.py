@@ -185,24 +185,9 @@ def _check_freq_state(case_id: str, matrix: BinaryMatrix, report: VerifyReport) 
 
 
 def enumeration_count(max_rows: int, max_cols: int) -> int:
-    """Number of distinct matrices over all shapes r <= max_rows, c <= max_cols."""
-    return sum(
-        2 ** (r * c) for r in range(1, max_rows + 1) for c in range(1, max_cols + 1)
-    )
-
-
-def _pattern_cells(pattern: int, width: int) -> bytes:
-    """Row-major cells for a pattern integer, most significant bit first.
-
-    Ascending pattern order is lexicographic order on the cell string, so
-    the first disagreement found per shape is the minimal reproducer.
-    """
-    return format(pattern, f"0{width}b").encode().translate(_TO_BITS)
-
-
-def _capped_count(max_rows: int, max_cols: int) -> int:
-    """enumeration_count, or EnumerationCapExceededError as soon as the
-    running total passes ENUMERATION_CAP."""
+    """Number of distinct matrices over all shapes r <= max_rows, c <= max_cols,
+    or EnumerationCapExceededError as soon as the running total passes
+    ENUMERATION_CAP."""
     total = 0
     for r in range(1, max_rows + 1):
         for c in range(1, max_cols + 1):
@@ -213,6 +198,15 @@ def _capped_count(max_rows: int, max_cols: int) -> int:
                     f"{ENUMERATION_CAP} enumerations"
                 )
     return total
+
+
+def _pattern_cells(pattern: int, width: int) -> bytes:
+    """Row-major cells for a pattern integer, most significant bit first.
+
+    Ascending pattern order is lexicographic order on the cell string, so
+    the first disagreement found per shape is the minimal reproducer.
+    """
+    return format(pattern, f"0{width}b").encode().translate(_TO_BITS)
 
 
 def _bounds(total: int, shard: Shard) -> tuple[int, int]:
@@ -235,7 +229,7 @@ def exhaustive_sweep(
     Raises EnumerationCapExceededError when the total enumeration would
     exceed ENUMERATION_CAP.
     """
-    lo, hi = _bounds(_capped_count(max_rows, max_cols), shard)
+    lo, hi = _bounds(enumeration_count(max_rows, max_cols), shard)
     report = VerifyReport()
     start = time.perf_counter()
     first = 0  # global index of the shape's pattern 0
@@ -481,7 +475,7 @@ def run_verify(args: argparse.Namespace) -> int:
             f"--max-dim {args.max_dim} allows {args.max_dim}x{args.max_dim} cases, "
             f"over the oracle cap of {ORACLE_CELL_CAP} cells "
             f"(--max-dim {isqrt(ORACLE_CELL_CAP)} at most)")
-    _capped_count(args.exhaustive_max, args.exhaustive_max)
+    enumeration_count(args.exhaustive_max, args.exhaustive_max)
     sys.stdout.flush()  # so nothing buffered before the fork is written twice
     sys.stderr.flush()
     reports = _run_shards(args, _cpus())

@@ -6,13 +6,12 @@ import pytest
 
 from squarelab.bitplanes import (
     at_least,
-    freq_bits_text,
+    fold_columns,
     has_run,
     increment,
+    line_rows,
     sweep,
-    text_columns,
     text_layers,
-    text_rows,
 )
 from squarelab.cli import main
 from squarelab.core import GridText, _block_size
@@ -49,11 +48,13 @@ def mask_of(columns, cols):
 
 
 def rows_of(m):
-    return list(text_rows(m.to_text()))
+    return list(line_rows(m.to_text().text, m.cols))
 
 
 def columns_of(m):
-    return list(text_columns(m.to_text()))
+    columns = [0] * m.cols
+    fold_columns(columns, m.to_text().text)
+    return columns
 
 
 def layers_of(v):
@@ -135,7 +136,8 @@ def test_text_layers_make_no_copy_of_a_layer():
 # that of the same run on an empty file, which holds the parser.
 @pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250)])
 def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, cols):
-    t = generate_matrix(GenSpec(rows, cols, 0.9, rows)).to_text()
+    m = generate_matrix(GenSpec(rows, cols, 0.9, rows))
+    t = m.to_text()
     path, empty = tmp_path / "m.txt", tmp_path / "empty.txt"
     path.write_bytes(t.text)
     empty.write_bytes(b"")
@@ -146,7 +148,7 @@ def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, co
     if rows <= cols:
         assert added < len(t.text) // 4
     else:
-        columns = sum(map(sys.getsizeof, text_columns(t)))
+        columns = sum(map(sys.getsizeof, columns_of(m)))
         assert added < columns + 2 * _block_size(cols + 1)
 
 
@@ -269,12 +271,7 @@ def test_has_run_with_a_shift_unit_matches_a_bit_count():
                 assert has_run(mask, w, unit) == want, (mask, w, unit)
 
 
-@pytest.mark.parametrize("kernel", [
-    freq_bits_text,
-    maximal_rectangle_text,
-    lambda t: list(text_rows(t)),
-    lambda t: list(text_columns(t)),
-], ids=["freq_bits_text", "maximal_rectangle_text", "text_rows", "text_columns"])
+@pytest.mark.parametrize("kernel", [maximal_rectangle_text], ids=["maximal_rectangle_text"])
 @pytest.mark.parametrize("v", [
     EMPTY_VOLUME,
     generate_volume(GenSpec(2, 3, 0.5, 0, depth=2)),

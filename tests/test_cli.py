@@ -731,14 +731,14 @@ def line_parser_says(data):
 SOURCES = ["file", "dash", "pipe"]
 
 
-def solve_from(capsys, monkeypatch, tmp_path, source, data):
+def solve_from(capsys, monkeypatch, tmp_path, source, data, *options):
     """`squarelab solve` run in-process on `data` from a file, from `-` on a
     stdin redirected from that file, or from a pipe (`data` must fit in its
     buffer)."""
     path = tmp_path / "in.txt"
     path.write_bytes(data)
     if source == "file":
-        return run(capsys, "solve", str(path))
+        return run(capsys, "solve", str(path), *options)
     if source == "dash":
         stdin = open(path, "rb")
     else:
@@ -748,7 +748,7 @@ def solve_from(capsys, monkeypatch, tmp_path, source, data):
         stdin = open(read_end, "rb")
     with stdin:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
-        return run(capsys, "solve", "-")
+        return run(capsys, "solve", "-", *options)
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -758,6 +758,30 @@ def test_edge_inputs_solve_the_same_a_few_lines_at_a_time(tmp_path, capsys, monk
     monkeypatch.setattr(core, "BLOCK", 6)  # two lines of two cells
     data, want = EDGE_INPUTS[name][:2]
     assert solve_from(capsys, monkeypatch, tmp_path, source, data) == want
+
+
+MALFORMED = {"ragged": b"101\n10\n101\n", "invalid-char": b"101\n1x1\n",
+             "crlf": b"11\r\n11\r\n", "blank-line": b"11\n\n11\n",
+             "not-utf8": b"11\n1\xff\n", "empty": b"", "no-final-newline": b"11\n11"}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_every_algo_fails_and_solves_as_bits_does(tmp_path, capsys, monkeypatch, kind):
+    # every --algo reads through the one streamed reader, so each prints what
+    # bits prints, whatever the source; a subprocess pipes the input into one
+    # reference algo per kind, in turn
+    data, references = MALFORMED[kind], sorted(set(cli.SOLVE_ALGOS) - {"bits"})
+    want = solve_from(capsys, monkeypatch, tmp_path, "file", data, "--algo", "bits")
+    assert want[0] == (0 if kind in ("empty", "no-final-newline") else 2)
+    for algo in cli.SOLVE_ALGOS:
+        for source in SOURCES:
+            assert solve_from(capsys, monkeypatch, tmp_path, source, data,
+                              "--algo", algo) == want, (algo, source)
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    algo = references[list(MALFORMED).index(kind) % len(references)]
+    proc = subprocess.run([sys.executable, "-m", "squarelab", "solve", "--algo", algo],
+                          input=data, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
 
 
 BAD_LINES = {"char": b"10x1\n", "short": b"101\n", "long": b"10111\n", "blank": b"\n",

@@ -4,7 +4,6 @@ from squarelab.core import SquareResult
 from squarelab.grid import BinaryMatrix
 from squarelab.squares import dp_full, freq_square
 from squarelab.verify import (
-    ENUMERATION_CAP,
     DEFAULT_SOLVERS,
     EnumerationCapExceededError,
     InvariantFailure,
@@ -64,7 +63,11 @@ def test_exhaustive_sweep_order():
 
 
 def test_exhaustive_sweep_cap_enforced():
-    assert enumeration_count(99, 99) > ENUMERATION_CAP
+    with pytest.raises(EnumerationCapExceededError):
+        enumeration_count(99, 99)
+    # stops once the total passes the cap, before 2 ** (10**12) is formed
+    with pytest.raises(EnumerationCapExceededError):
+        enumeration_count(10**6, 10**6)
     with pytest.raises(EnumerationCapExceededError):
         exhaustive_sweep(99, 99)
 
