@@ -8,20 +8,22 @@ a volume's whole text.
 
 The packers read a grid's '0'/'1' text: the rows and columns of a block
 of whole lines (`line_rows`, `fold_columns`), which a matrix's whole text
-is too, and the layers of a whole text (`core.GridText`, `text_layers`),
-a file's own bytes or a BinaryMatrix's or BinaryVolume's cells
-translated once.  A grid row is packed into one int, column 0 in the
-most significant of `cols` bits, and a grid column the same way, row 0
-on top, each block's slice of it folded in below the rows before; the
-helpers below take it as a row whose columns are the grid's rows.  A
-layer, and so a whole matrix, which is one layer, is one board, in one
-layout: row 0 in the top bits and each row's newline its zero guard bit,
-so the stride is cols + 1 and a shift by less than a stride never
-carries a run of ones into the next row.  The board packer reads eight
-lines at a time and makes no copy the size of the text.  A counter is a
-list of planes, least significant first: bit p of planes[k] is bit k of
-the count at position p.  Each helper works on every position of a row,
-layer or grid at once with a few big-int operations.
+is too; a matrix's blocks of lines, packed into one board as they come
+(`lines_board`, for `rect`); and the layers of a whole text
+(`core.GridText`, `text_layers`), a file's own bytes or a BinaryMatrix's
+or BinaryVolume's cells translated once.  A grid row is packed into one
+int, column 0 in the most significant of `cols` bits, and a grid column
+the same way, row 0 on top, each block's slice of it folded in below the
+rows before; the helpers below take it as a row whose columns are the
+grid's rows.  A layer, and so a whole matrix, which is one layer, is one
+board, in one layout: row 0 in the top bits and each row's newline its
+zero guard bit, so the stride is cols + 1 and a shift by less than a
+stride never carries a run of ones into the next row.  Both board
+packers append eight lines at a time, top down, in one loop (`_pack`),
+and make no copy the size of the text.  A counter is a list of planes,
+least significant first: bit p of planes[k] is bit k of the count at
+position p.  Each helper works on every position of a row, layer or grid
+at once with a few big-int operations.
 """
 
 from __future__ import annotations
@@ -58,19 +60,51 @@ def fold_columns(columns: list[int], block: bytes) -> int:
     return lines
 
 
-def _board(text: bytes, start: int, stop: int, stride: int) -> int:
-    """The lines of text[start:stop], `stride` bytes each with the newline
-    last, as one board.  Eight lines are exactly `stride` bytes of board,
-    so each block of eight is read on its own into one bytearray, from the
-    bottom up; a partial block sits at the top, its missing rows leading
-    zero bytes.
+def _pack(buffer: bytearray, text: bytes, start: int, stop: int, stride: int) -> None:
+    """Append the lines of text[start:stop], `stride` bytes each with the
+    newline last, to a board's `buffer`, top down.  Eight lines are
+    exactly `stride` bytes of board, so each group of eight is read on its
+    own; a partial last group is padded with zero rows below, which
+    `_board` shifts off.
     """
-    block = 8 * stride
-    board = bytearray(-(-(stop - start) // block) * stride)
-    for hi, end in zip(range(stop, start, -block), range(len(board), 0, -stride)):
-        lines = text[max(hi - block, start):hi].translate(_GUARD)
-        board[end - stride:end] = int(lines, 2).to_bytes(stride, "big")
-    return int.from_bytes(board, "big")
+    size = 8 * stride
+    for i in range(start, stop, size):
+        group = text[i:min(i + size, stop)].translate(_GUARD)
+        buffer += (int(group, 2) << size - len(group)).to_bytes(stride, "big")
+
+
+def _board(buffer: bytearray, rows: int, stride: int) -> int:
+    # the board of `rows` lines in `buffer` as one int, the rows padding its
+    # last group shifted off; the buffer is emptied before the shift, so no
+    # more than it, the copy int.from_bytes makes of it and the int are held
+    value = int.from_bytes(buffer, "big")
+    pad = 8 * len(buffer) - rows * stride
+    buffer.clear()
+    return value >> pad
+
+
+def lines_board(blocks: Iterable[bytes], cols: int) -> tuple[int, int]:
+    """A matrix's lines of `cols` cells, given a block of whole lines at a
+    time, as one board, and the number of lines.
+
+    Each block is packed as it comes, so the board and a block or two are
+    all that is held.  A group of eight lines that straddles two blocks is
+    carried into the next; a pipe and a file take this one path, since
+    packing top down needs no row count.
+    """
+    stride = cols + 1
+    size = 8 * stride
+    buffer, rows, carry = bytearray(), 0, b""
+    for block in blocks:
+        rows += len(block) // stride
+        lines = carry + block
+        del block
+        whole = len(lines) - len(lines) % size
+        _pack(buffer, lines, 0, whole, stride)
+        carry = lines[whole:]
+        del lines
+    _pack(buffer, carry, 0, len(carry), stride)
+    return _board(buffer, rows, stride), rows
 
 
 def text_layers(t: GridText) -> Iterator[int]:
@@ -79,7 +113,9 @@ def text_layers(t: GridText) -> Iterator[int]:
     `next(text_layers(t))`."""
     text, pitch, stride = t.text, t.pitch, t.cols + 1
     for start in range(0, t.depth * pitch, pitch):
-        yield _board(text, start, start + t.rows * stride, stride)
+        buffer = bytearray()
+        _pack(buffer, text, start, start + t.rows * stride, stride)
+        yield _board(buffer, t.rows, stride)
 
 
 def increment(planes: list[int], row: int) -> None:

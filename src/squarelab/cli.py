@@ -14,6 +14,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
+from typing import BinaryIO, ContextManager
 
 from .core import GridText, MatrixParseError, PlotTarget, read_grid, read_lines
 
@@ -143,9 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_source(path: str) -> ContextManager[BinaryIO]:
+    # the file, or stdin's byte stream for "-", which is left open: read as
+    # bytes whatever the locale, a block of whole lines at a time
+    # (core.read_lines), so a '\r' or a non-ASCII byte reaches the check
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    with (nullcontext(sys.stdin.buffer) if args.path == "-"
-          else open(args.path, "rb")) as stream:
+    with _open_source(args.path) as stream:
         blocks, cols, rows = read_lines(stream)
         if args.algo == "bits":
             from .bitplanes import freq_bits_lines
@@ -207,9 +214,11 @@ def _cmd_cube(args: argparse.Namespace) -> int:
 
 
 def _cmd_rect(args: argparse.Namespace) -> int:
-    from .histogram import maximal_rectangle_text
+    from .histogram import maximal_rectangle_lines
 
-    result = maximal_rectangle_text(read_grid(_read_bytes(args.path), layers=False))
+    with _open_source(args.path) as stream:
+        blocks, cols, _ = read_lines(stream)
+        result = maximal_rectangle_lines(blocks, cols)
     print(f"area={result.area} h={result.height} w={result.width}")
     return 0
 

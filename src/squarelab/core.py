@@ -2,19 +2,20 @@
 the result types, the error types and the read path.
 
 One check reads a file: `_is_lines` checks a block of whole lines, about
-BLOCK bytes, with a few whole-buffer operations.  `solve` reads its input
-a block at a time with `read_lines`, each block checked as it arrives, so
-its default kernel never holds the whole text; its reference algorithms
-join the blocks into one GridText.  `rect` and `cube` read the whole file
-with `read_grid` as GridText, a matrix being a volume of one layer, whose
-check runs over the text a block at a time, and `bitplanes` packs its
-layers.  This module knows a grid only as that text: the 0/1 cell types,
-and the conversions between them and the text (`to_text`, `from_text`),
-are in `grid`, which this module imports only when a file fails the
-check, for the line parser that names the line it fails on.  So `solve`,
-`rect` and `cube` with their default kernels never import `grid` on a
-well-formed file, and, with no bytecode cached, compile only the source
-they run.
+BLOCK bytes, with a few whole-buffer operations.  `solve` and `rect` read
+their input a block at a time with `read_lines`, each block checked as it
+arrives, so neither holds the whole text: `solve`'s default kernel sweeps
+each block, `rect` packs each into its one board, and `solve`'s reference
+algorithms join the blocks into one GridText.  `cube` reads the whole
+file with `read_grid` as GridText, a matrix being a volume of one layer,
+whose check runs over the text a block at a time, and `bitplanes` packs
+its layers.  This module knows a grid only as that text: the 0/1 cell
+types, and the conversions between them and the text (`to_text`,
+`from_text`), are in `grid`, which this module imports only when a file
+fails the check, for the line parser that names the line it fails on.
+So `solve`, `rect` and `cube` with their default kernels never import
+`grid` on a well-formed file, and, with no bytecode cached, compile only
+the source they run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`
@@ -33,9 +34,10 @@ from typing import BinaryIO, Iterator
 # the largest input, in cells, the brute-force square oracle accepts
 ORACLE_CELL_CAP = 10_000
 
-# about the bytes of whole lines checked at a time: a block `solve` reads,
-# or a slice of the text GridText checks; the check deletes the cells from
-# a piece of it at a time, so the copies it makes stay small next to it
+# about the bytes of whole lines checked at a time: a block `solve` or
+# `rect` reads, or a slice of the text GridText checks; the check deletes
+# the cells from a piece of it at a time, so the copies it makes stay small
+# next to it
 BLOCK = 1 << 16
 _PIECE = 1 << 13
 

@@ -9,9 +9,9 @@ BinaryMatrix and BinaryVolume, the cell values the library solvers take,
 hold the one codec between a grid and its file text (`core.GridText`, in
 which a matrix is one layer, and which `bitplanes` packs): `from_text`,
 and `to_text`, which for both types is `_text_of`.  A well-formed file is
-read in place by `core.read_grid` (`rect`, `cube`), or a block of lines
-at a time by `core.read_lines` (`solve`, whose reference algorithms take
-the BinaryMatrix of the joined blocks), which import this module only
+read in place by `core.read_grid` (`cube`), or a block of lines at a
+time by `core.read_lines` (`solve`, whose reference algorithms take the
+BinaryMatrix of the joined blocks, and `rect`), which import this module only
 for what their check rejects: the line parsers here, `parse_matrix`,
 `parse_volume` and the row parser under both, report it, naming the
 line.  The value base, the error types, the text type and the read path

@@ -9,17 +9,19 @@ that area, so the answer, ties included, is the row-wise stack's.  Serves
 as the comparison point for the square solvers (every square is a
 rectangle).
 
-`rect` runs `maximal_rectangle_text` on a file's bytes, so this module
-loads only `bitplanes` and `core`, not `grid`; RectResult, which it
-returns, is defined in `core`.
+`rect` runs `maximal_rectangle_lines` on the blocks of whole lines
+`core.read_lines` reads from a file, packed into the board as they come,
+and `maximal_rectangle` runs the same walk on a matrix's board, so this
+module loads only `bitplanes` and `core`, not `grid`; RectResult, which
+it returns, is defined in `core`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
-from .bitplanes import has_run, text_layers
-from .core import GridText, RectResult
+from .bitplanes import has_run, lines_board, text_layers
+from .core import RectResult
 
 if TYPE_CHECKING:
     from .grid import BinaryMatrix
@@ -81,36 +83,45 @@ def _lift(tall: list[int], n: int, top: int, unit: int, step: int) -> int:
 
 def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     """Largest all-ones rectangle: the stack's answer, row by row, keeping
-    the first strictly larger area.
+    the first strictly larger area.  The grid is one board, its one
+    layer's (`bitplanes.text_layers`), and `_walk` finds the rectangle on
+    it."""
+    return _walk(next(text_layers(m.to_text())), m.rows, m.cols)
+
+
+def maximal_rectangle_lines(blocks: Iterable[bytes], cols: int) -> RectResult:
+    """maximal_rectangle on a matrix's lines of `cols` cells, given a block
+    of whole lines at a time, as `core.read_lines` reads a file for `rect`;
+    each block is packed into the board as it comes
+    (`bitplanes.lines_board`)."""
+    board, rows = lines_board(blocks, cols)
+    return _walk(board, rows, cols)
+
+
+def _walk(board: int, rows: int, cols: int) -> RectResult:
+    """The largest rectangle on a board of `rows` rows of `cols` cells,
+    cols + 1 bits apart, row 0 on top and each row's lowest bit a zero
+    guard.
 
     Let h(w) be the height of the tallest all-ones rectangle of width w;
     it never grows with w, and the largest area A is the largest w * h(w).
-    The grid is one board, its one layer's (`bitplanes.text_layers`),
-    whose rows are cols + 1 bits apart as the text's are cols + 1 bytes
-    apart, and `runs` marks the cells that end a row run of w ones.  The
-    walk takes w upward: it jumps to the first width at which `cap`, a
-    bound on h(w), could reach the best area, tests the height that would
-    reach it with a column erosion of `runs`, and lifts the surviving
-    windows to h(w) exactly.  When h(w) is cap, it gallops the width on
-    those windows instead, so a plateau of h costs O(log w) shift-ANDs.
-    Every width with w * h(w) = A is met, with the smallest bottom row of
-    its rectangles as the highest bit of a mask.
+    `runs` marks the cells that end a row run of w ones.  The walk takes w
+    upward: it jumps to the first width at which `cap`, a bound on h(w),
+    could reach the best area, tests the height that would reach it with
+    a column erosion of `runs`, and lifts the surviving windows to h(w)
+    exactly.  When h(w) is cap, it gallops the width on those windows
+    instead, so a plateau of h costs O(log w) shift-ANDs.  Every width
+    with w * h(w) = A is met, with the smallest bottom row of its
+    rectangles as the highest bit of a mask.
 
     The stack's answer is its answer on the first row i* whose histogram
     holds area A: every earlier row holds less, and no later row replaces
     an equal area.  The largest rectangle under row i's histogram is the
     largest all-ones rectangle with bottom row i, so i* is the smallest
-    bottom row of any rectangle of area A.  Row i*'s heights are read
-    with one `rfind` per column and go through the same stack.
+    bottom row of any rectangle of area A.  Row i*'s heights are read off
+    the board (`_heights`) and go through the same stack.
     """
-    return maximal_rectangle_text(m.to_text())
-
-
-def maximal_rectangle_text(t: GridText) -> RectResult:
-    """maximal_rectangle on a matrix's text, the file's bytes for `rect`."""
-    if t.depth != 1:
-        raise ValueError(f"a matrix is one layer, not {t.depth}")
-    rows, cols, stride, runs = t.rows, t.cols, t.cols + 1, next(text_layers(t))
+    stride, runs = cols + 1, board
     best, first, cap, w, width = 0, rows, rows, 1, 1
     while cap and runs:
         w = max(w, -(-best // cap))  # no narrower width reaches best
@@ -133,5 +144,33 @@ def maximal_rectangle_text(t: GridText) -> RectResult:
         best, w = w * h, w + 1
     if not best:
         return RectResult(0, 0, 0)
-    return largest_rect_in_histogram(
-        [first - t.text[j:(first + 1) * stride:stride].rfind(b"0") for j in range(cols)])
+    del runs  # the readout holds the board and its bytes, not the runs too
+    return largest_rect_in_histogram(_heights(board, rows, cols, first))
+
+
+def _heights(board: int, rows: int, cols: int, first: int) -> Histogram:
+    """Row `first`'s histogram, read off the board: its bytes, once, then
+    eight rows at a time from row `first` upward, until every column has
+    met a zero.  Column j's height is first - i for the lowest zero i at
+    or above `first`, or first + 1 when it has none."""
+    stride = cols + 1
+    data = board.to_bytes(-(-rows * stride // 8), "big")
+    lead = 8 * len(data) - rows * stride  # the zero bits above row 0
+    heights = [first + 1] * cols
+    alive = (1 << cols) - 1  # the columns with no zero met yet
+    for stop in range(first + 1, 0, -8):
+        start = max(stop - 8, 0)
+        lo, hi = lead + start * stride, lead + stop * stride
+        group = int.from_bytes(data[lo // 8:-(-hi // 8)], "big") >> -hi % 8
+        for i in range(stop - 1, start - 1, -1):
+            zeros = alive & ~(group >> (stop - 1 - i) * stride + 1)
+            if zeros:
+                alive ^= zeros
+                cells = format(zeros, f"0{cols}b")
+                j = cells.find("1")
+                while j >= 0:
+                    heights[j] = first - i
+                    j = cells.find("1", j + 1)
+        if not alive:
+            break
+    return heights

@@ -10,6 +10,7 @@ from squarelab.bitplanes import (
     has_run,
     increment,
     line_rows,
+    lines_board,
     sweep,
     text_layers,
 )
@@ -24,7 +25,6 @@ from squarelab.grid import (
     generate_matrix,
     generate_volume,
 )
-from squarelab.histogram import maximal_rectangle_text
 
 
 def planes_of(counts):
@@ -107,6 +107,20 @@ def test_text_board_reads_each_newline_as_a_guard_bit(cols):
     assert next(text_layers(EMPTY_MATRIX.to_text())) == 0
 
 
+@pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 16, 65])
+def test_lines_board_packs_blocks_as_text_layers_packs_the_text(cols):
+    # blocks of 1 to 9 lines: groups of eight lines straddle blocks, and a
+    # partial last group ends on any line of a block
+    for rows in range(1, 18):
+        t = generate_matrix(GenSpec(rows, cols, 0.7, rows * cols)).to_text()
+        want = next(text_layers(t))
+        for lines in range(1, 10):
+            size = lines * (cols + 1)
+            blocks = [t.text[i:i + size] for i in range(0, len(t.text), size)]
+            assert lines_board(blocks, cols) == (want, rows), (rows, lines)
+    assert lines_board([], 0) == (0, 0)
+
+
 # a board is an eighth of its text, and the packer holds at most three
 # boards at once (its bytearray, the copy int.from_bytes makes of it and the
 # int), so a copy of the text, or of a layer, breaks the bound
@@ -150,6 +164,24 @@ def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, co
     else:
         columns = sum(map(sys.getsizeof, columns_of(m)))
         assert added < columns + 2 * _block_size(cols + 1)
+
+
+# `rect` packs its board a block of the file at a time, then holds, at
+# most, the board, the runs the walk erodes, a window mask and the two
+# temporaries of a shift-AND on it: five boards, about five eighths of the
+# text, and a block or two of it
+@pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (250, 4000)])
+def test_rect_holds_its_board_not_the_file(tmp_path, capsys, rows, cols):
+    t = generate_matrix(GenSpec(rows, cols, 0.9, rows)).to_text()
+    path, empty = tmp_path / "m.txt", tmp_path / "empty.txt"
+    path.write_bytes(t.text)
+    empty.write_bytes(b"")
+    main(["rect", str(path)])  # loads what a run loads
+    added = (peak_allocated(main, ["rect", str(path)])
+             - peak_allocated(main, ["rect", str(empty)]))
+    assert capsys.readouterr().err == ""
+    board = sys.getsizeof(next(text_layers(t)))
+    assert added < 5 * board + 2 * _block_size(cols + 1)
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():
@@ -269,13 +301,3 @@ def test_has_run_with_a_shift_unit_matches_a_bit_count():
                 want = sum(1 << j for j in range(width)
                            if all(mask >> (j + k * unit) & 1 for k in range(w)))
                 assert has_run(mask, w, unit) == want, (mask, w, unit)
-
-
-@pytest.mark.parametrize("kernel", [maximal_rectangle_text], ids=["maximal_rectangle_text"])
-@pytest.mark.parametrize("v", [
-    EMPTY_VOLUME,
-    generate_volume(GenSpec(2, 3, 0.5, 0, depth=2)),
-], ids=["depth-0", "depth-2"])
-def test_matrix_kernels_reject_a_volume_text(kernel, v):
-    with pytest.raises(ValueError, match=f"a matrix is one layer, not {v.depth}"):
-        kernel(v.to_text())

@@ -15,8 +15,9 @@ import squarelab
 from squarelab import bench, bitplanes, cli, core, squares
 from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
-from squarelab.core import MatrixParseError, SquareResult
+from squarelab.core import MatrixParseError, RectResult, SquareResult
 from squarelab.grid import GenSpec, generate_matrix, parse_matrix
+from squarelab.histogram import build_histograms, largest_rect_in_histogram
 
 
 def run(capsys, *argv):
@@ -632,12 +633,12 @@ def test_memory_error_exits_3(capsys, monkeypatch):
 
 
 # the child limits its own address space to its size after the imports plus
-# MARGIN, which holds the file once but not the file and the rectangle
-# kernel's boards, an eighth of it each
+# MARGIN, which holds a block of the file and a board, an eighth of it, but
+# not the five boards the rectangle kernel's walk holds at once
 OOM_CHILD = """
 import resource, sys
 from squarelab import cli, histogram
-MARGIN = 20 << 20
+MARGIN = 6 << 20
 with open("/proc/self/statm") as statm:
     size = int(statm.read().split()[0]) * resource.getpagesize()
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -717,13 +718,18 @@ def test_edge_inputs_print_what_the_line_parser_printed(tmp_path, capsys, monkey
         assert run(capsys, command[0], where, *command[1:]) == want[kind], command
 
 
-def line_parser_says(data):
-    """What `squarelab solve` prints when the whole text goes through the
-    line parser: the square it finds, or the error it names."""
+def line_parser_says(data, command="solve"):
+    """What `squarelab solve`, or `rect`, prints when the whole text goes
+    through the line parser: the square, or the first largest rectangle of
+    the row-by-row stack, that it finds, or the error it names."""
     try:
         m = parse_matrix(data.decode("utf-8", "surrogateescape"))
     except MatrixParseError as exc:
         return parse_error(exc.line, str(exc))
+    if command == "rect":
+        r = max(map(largest_rect_in_histogram, build_histograms(m)),
+                key=lambda r: r.area, default=RectResult(0, 0, 0))
+        return 0, f"area={r.area} h={r.height} w={r.width}\n", ""
     side = squares.dp_rows(m).side
     return 0, f"side={side} area={side * side}\n", ""
 
@@ -731,14 +737,14 @@ def line_parser_says(data):
 SOURCES = ["file", "dash", "pipe"]
 
 
-def solve_from(capsys, monkeypatch, tmp_path, source, data, *options):
-    """`squarelab solve` run in-process on `data` from a file, from `-` on a
-    stdin redirected from that file, or from a pipe (`data` must fit in its
-    buffer)."""
+def run_from(capsys, monkeypatch, tmp_path, source, data, command, *options):
+    """`squarelab command` run in-process on `data` from a file, from `-` on
+    a stdin redirected from that file, or from a pipe (`data` must fit in
+    its buffer)."""
     path = tmp_path / "in.txt"
     path.write_bytes(data)
     if source == "file":
-        return run(capsys, "solve", str(path), *options)
+        return run(capsys, command, str(path), *options)
     if source == "dash":
         stdin = open(path, "rb")
     else:
@@ -748,16 +754,18 @@ def solve_from(capsys, monkeypatch, tmp_path, source, data, *options):
         stdin = open(read_end, "rb")
     with stdin:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
-        return run(capsys, "solve", "-", *options)
+        return run(capsys, command, "-", *options)
 
 
 @pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("name", EDGE_INPUTS)
 def test_edge_inputs_solve_the_same_a_few_lines_at_a_time(tmp_path, capsys, monkeypatch,
                                                          name, source):
+    # `solve` and `rect` read through the one streamed reader
     monkeypatch.setattr(core, "BLOCK", 6)  # two lines of two cells
-    data, want = EDGE_INPUTS[name][:2]
-    assert solve_from(capsys, monkeypatch, tmp_path, source, data) == want
+    data, *want = EDGE_INPUTS[name]
+    for command, kind in ("solve", 0), ("rect", 1):
+        assert run_from(capsys, monkeypatch, tmp_path, source, data, command) == want[kind]
 
 
 MALFORMED = {"ragged": b"101\n10\n101\n", "invalid-char": b"101\n1x1\n",
@@ -771,17 +779,39 @@ def test_every_algo_fails_and_solves_as_bits_does(tmp_path, capsys, monkeypatch,
     # bits prints, whatever the source; a subprocess pipes the input into one
     # reference algo per kind, in turn
     data, references = MALFORMED[kind], sorted(set(cli.SOLVE_ALGOS) - {"bits"})
-    want = solve_from(capsys, monkeypatch, tmp_path, "file", data, "--algo", "bits")
+    want = run_from(capsys, monkeypatch, tmp_path, "file", data, "solve", "--algo", "bits")
     assert want[0] == (0 if kind in ("empty", "no-final-newline") else 2)
     for algo in cli.SOLVE_ALGOS:
         for source in SOURCES:
-            assert solve_from(capsys, monkeypatch, tmp_path, source, data,
-                              "--algo", algo) == want, (algo, source)
+            assert run_from(capsys, monkeypatch, tmp_path, source, data,
+                            "solve", "--algo", algo) == want, (algo, source)
     env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
     algo = references[list(MALFORMED).index(kind) % len(references)]
     proc = subprocess.run([sys.executable, "-m", "squarelab", "solve", "--algo", algo],
                           input=data, capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+
+# what `rect` prints on each MALFORMED input, whatever its source and block size
+RECT_MALFORMED = {
+    "ragged": parse_error(2, "line 2 has 2 cells, expected 3"),
+    "invalid-char": parse_error(2, "invalid character 'x' at line 2"),
+    "crlf": parse_error(1, "invalid character '\\r' at line 1"),
+    "blank-line": blank(2),
+    "not-utf8": parse_error(2, "invalid character '\\udcff' at line 2"),
+    "empty": (0, "area=0 h=0 w=0\n", ""),
+    "no-final-newline": (0, "area=4 h=2 w=2\n", ""),
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_rect_fails_and_solves_as_the_whole_file_read_did(tmp_path, capsys, monkeypatch,
+                                                          kind):
+    data, want = MALFORMED[kind], RECT_MALFORMED[kind]
+    for block in (core.BLOCK, 3):  # a block of whole lines, or one line
+        monkeypatch.setattr(core, "BLOCK", block)
+        for source in SOURCES:
+            assert run_from(capsys, monkeypatch, tmp_path, source, data, "rect") == want, source
 
 
 BAD_LINES = {"char": b"10x1\n", "short": b"101\n", "long": b"10111\n", "blank": b"\n",
@@ -799,9 +829,10 @@ def test_a_bad_line_anywhere_in_a_block_fails_as_the_line_parser_says(
         lines = [b"1011\n"] * 9
         lines[at] = BAD_LINES[kind]
         data = b"".join(lines)
-        want = line_parser_says(data)
-        assert want[0] == (0 if kind == "last" and at == 8 else 2)
-        assert solve_from(capsys, monkeypatch, tmp_path, source, data) == want, at
+        for command in "solve", "rect":
+            want = line_parser_says(data, command)
+            assert want[0] == (0 if kind == "last" and at == 8 else 2)
+            assert run_from(capsys, monkeypatch, tmp_path, source, data, command) == want, at
 
 
 # the child reads in blocks of argv[1] bytes of whole lines
@@ -836,7 +867,8 @@ def test_a_valid_file_with_no_final_newline_still_solves(tmp_path, capsys, monke
     for block in (core.BLOCK, 5 * 301):
         monkeypatch.setattr(core, "BLOCK", block)
         for source in ("file", "dash"):
-            assert solve_from(capsys, monkeypatch, tmp_path, source, SQUARE_OF_ONES[:-1]) == (
+            assert run_from(capsys, monkeypatch, tmp_path, source, SQUARE_OF_ONES[:-1],
+                            "solve") == (
                 0, "side=300 area=90000\n", "")
 
 
@@ -872,6 +904,6 @@ def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeyp
         data = m.to_text().text
         for source in SOURCES:
             folded.clear()
-            assert solve_from(capsys, monkeypatch, tmp_path, source, data) == \
+            assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == \
                 line_parser_says(data)
             assert b"".join(folded) == (b"" if source == "pipe" else data)

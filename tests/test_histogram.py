@@ -4,6 +4,7 @@ import random
 import pytest
 
 from squarelab import histogram
+from squarelab.bitplanes import text_layers
 from squarelab.core import RectResult, SquareResult
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.histogram import (
@@ -235,6 +236,30 @@ def test_all_ones_takes_a_few_dozen_board_operations(monkeypatch, rows, cols):
     m = BinaryMatrix(rows, cols, b"\x01" * (rows * cols))
     assert maximal_rectangle(m) == RectResult(rows * cols, rows, cols)
     assert len(calls) <= 100
+
+
+def staircase(n):
+    """Ones on and below the anti-diagonal: h(w) drops by one at every width."""
+    return BinaryMatrix(n, n, bytes(i + j >= n - 1 for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("m", [
+    BinaryMatrix(20, 17, b"\x01" * (20 * 17)),
+    BinaryMatrix(20, 17, bytes(20 * 17)),
+    generate_matrix(GenSpec(1, 70, 0.8, 1)),
+    generate_matrix(GenSpec(70, 1, 0.8, 2)),
+    staircase(19),
+    generate_matrix(GenSpec(19, 23, 0.9, 3)),
+], ids=["ones", "zeros", "one-row", "one-column", "staircase", "random"])
+def test_heights_read_off_the_board_are_the_rows_histograms(m):
+    # every row's histogram, read up from it a group of eight rows at a
+    # time, so groups end above, on and below a multiple of eight
+    board = next(text_layers(m.to_text()))
+    for first, heights in enumerate(build_histograms(m)):
+        read = histogram._heights(board, m.rows, m.cols, first)
+        assert read == heights, first
+        assert largest_rect_in_histogram(read) == largest_rect_in_histogram(heights)
+    assert maximal_rectangle(m) == stack_rectangle(m)
 
 
 def test_rect_result_is_a_value_of_its_own_type():

@@ -29,7 +29,7 @@ from squarelab.histogram import (
     build_histograms,
     largest_rect_in_histogram,
     maximal_rectangle,
-    maximal_rectangle_text,
+    maximal_rectangle_lines,
 )
 from squarelab.squares import freq_bits, freq_square
 
@@ -195,11 +195,11 @@ def test_max_cube_equals_the_brute_force_oracle(v):
 @PROPERTY
 @given(dense_matrices(max_dim=40))
 def test_kernels_on_the_file_text_equal_the_matrix_kernels(m):
-    t = read_grid(serialize_matrix(m).encode(), layers=False)
+    data = serialize_matrix(m).encode()
     # the true row count folds a tall matrix's columns; -1 sweeps its rows
-    for rows in t.rows, -1:
-        assert freq_bits_lines((t.text,), t.cols, rows) == freq_bits(m)
-    assert maximal_rectangle_text(t) == maximal_rectangle(m)
+    for rows in m.rows, -1:
+        assert freq_bits_lines(read_lines(io.BytesIO(data))[0], m.cols, rows) == freq_bits(m)
+    assert maximal_rectangle_lines(read_lines(io.BytesIO(data))[0], m.cols) == maximal_rectangle(m)
 
 
 @PROPERTY
