@@ -1,36 +1,32 @@
 """Bit-sliced counters and whole-grid bitboards on Python ints, shared by
 the square, rectangle and cube kernels; `sweep`, the one frequency sweep
-that freq_bits and max_cube run; and the two kernels `solve` and `cube`
-run, each one `sweep`, kept here so that neither subcommand loads
-`squares` or `cubes`: `freq_bits_lines`, on the blocks of whole lines
-`core.read_lines` reads from a file as it goes, and `max_cube_text`, on
-a volume's whole text.
+that freq_bits and max_cube run; and the kernels `solve` and `cube` run,
+`freq_bits_lines` and `max_cube_lines`, each one `sweep` on the blocks of
+whole lines `core.read_lines` reads from a file as it goes, kept here so
+that neither subcommand loads `squares` or `cubes`.
 
-The packers read a grid's '0'/'1' text: the rows and columns of a block
-of whole lines (`line_rows`, `fold_columns`), which a matrix's whole text
-is too; a matrix's blocks of lines, packed into one board as they come
-(`lines_board`, for `rect`); and the layers of a whole text
-(`core.GridText`, `text_layers`), a file's own bytes or a BinaryMatrix's
-or BinaryVolume's cells translated once.  A grid row is packed into one
+The packers read a block of whole '0'/'1' lines at a time: its rows and
+columns (`line_rows`, `fold_columns`), and the one board packer,
+`lines_board`, which packs a matrix's blocks into one board as they come
+(`rect`), and each layer of a volume into its own (`layer_boards`,
+`cube`).  A library call hands them its grid's text.  A grid row is one
 int, column 0 in the most significant of `cols` bits, and a grid column
-the same way, row 0 on top, each block's slice of it folded in below the
-rows before; the helpers below take it as a row whose columns are the
-grid's rows.  A layer, and so a whole matrix, which is one layer, is one
-board, in one layout: row 0 in the top bits and each row's newline its
-zero guard bit, so the stride is cols + 1 and a shift by less than a
-stride never carries a run of ones into the next row.  Both board
-packers append eight lines at a time, top down, in one loop (`_pack`),
-and make no copy the size of the text.  A counter is a list of planes,
-least significant first: bit p of planes[k] is bit k of the count at
-position p.  Each helper works on every position of a row, layer or grid
-at once with a few big-int operations.
+the same way, row 0 on top.  A layer, and so a whole matrix, is one board:
+row 0 in the top bits and each row's newline its zero guard bit, so the
+stride is cols + 1 and a shift by less than a stride never carries a run
+of ones into the next row; `_pack` appends eight lines at a time, top
+down, and no copy the size of the text is made.  A counter is a list of
+planes, least significant first: bit p of planes[k] is bit k of the count
+at position p.  Each helper works on every position of a row, layer or
+grid at once with a few big-int operations.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .core import CubeResult, GridText, SquareResult
+from .core import CubeResult, SquareResult
 
 # a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
@@ -60,27 +56,16 @@ def fold_columns(columns: list[int], block: bytes) -> int:
     return lines
 
 
-def _pack(buffer: bytearray, text: bytes, start: int, stop: int, stride: int) -> None:
-    """Append the lines of text[start:stop], `stride` bytes each with the
-    newline last, to a board's `buffer`, top down.  Eight lines are
-    exactly `stride` bytes of board, so each group of eight is read on its
-    own; a partial last group is padded with zero rows below, which
-    `_board` shifts off.
+def _pack(buffer: bytearray, lines: bytes, stop: int, stride: int) -> None:
+    """Append lines[:stop], `stride` bytes each with the newline last, to a
+    board's `buffer`, top down.  Eight lines are exactly `stride` bytes of
+    board, so each group of eight is read on its own; a partial last group
+    is padded with zero rows below, which `lines_board` shifts off.
     """
     size = 8 * stride
-    for i in range(start, stop, size):
-        group = text[i:min(i + size, stop)].translate(_GUARD)
+    for i in range(0, stop, size):
+        group = lines[i:min(i + size, stop)].translate(_GUARD)
         buffer += (int(group, 2) << size - len(group)).to_bytes(stride, "big")
-
-
-def _board(buffer: bytearray, rows: int, stride: int) -> int:
-    # the board of `rows` lines in `buffer` as one int, the rows padding its
-    # last group shifted off; the buffer is emptied before the shift, so no
-    # more than it, the copy int.from_bytes makes of it and the int are held
-    value = int.from_bytes(buffer, "big")
-    pad = 8 * len(buffer) - rows * stride
-    buffer.clear()
-    return value >> pad
 
 
 def lines_board(blocks: Iterable[bytes], cols: int) -> tuple[int, int]:
@@ -90,7 +75,9 @@ def lines_board(blocks: Iterable[bytes], cols: int) -> tuple[int, int]:
     Each block is packed as it comes, so the board and a block or two are
     all that is held.  A group of eight lines that straddles two blocks is
     carried into the next; a pipe and a file take this one path, since
-    packing top down needs no row count.
+    packing top down needs no row count.  The buffer is emptied before the
+    padding rows are shifted off, so no more than it, the copy
+    int.from_bytes makes of it and the int are held at the end.
     """
     stride = cols + 1
     size = 8 * stride
@@ -100,22 +87,22 @@ def lines_board(blocks: Iterable[bytes], cols: int) -> tuple[int, int]:
         lines = carry + block
         del block
         whole = len(lines) - len(lines) % size
-        _pack(buffer, lines, 0, whole, stride)
+        _pack(buffer, lines, whole, stride)
         carry = lines[whole:]
         del lines
-    _pack(buffer, carry, 0, len(carry), stride)
-    return _board(buffer, rows, stride), rows
+    _pack(buffer, carry, len(carry), stride)
+    board, pad = int.from_bytes(buffer, "big"), 8 * len(buffer) - rows * stride
+    buffer.clear()
+    return board >> pad, rows
 
 
-def text_layers(t: GridText) -> Iterator[int]:
-    """Each layer of `t` as one board, its rows cols + 1 bits apart, packed
-    in place from the text; a matrix is one layer, so its whole grid is
-    `next(text_layers(t))`."""
-    text, pitch, stride = t.text, t.pitch, t.cols + 1
-    for start in range(0, t.depth * pitch, pitch):
-        buffer = bytearray()
-        _pack(buffer, text, start, start + t.rows * stride, stride)
-        yield _board(buffer, t.rows, stride)
+def layer_boards(blocks: Iterable[bytes], cols: int) -> Iterator[tuple[int, int]]:
+    """Each layer of a volume's lines of `cols` cells, given as
+    `core.read_lines` reads a volume file, as one board and its rows; a
+    layer's blocks are packed as they come, up to the blank line after it."""
+    blocks = iter(blocks)
+    while (layer := lines_board(iter(blocks.__next__, b"\n"), cols))[1]:
+        yield layer
 
 
 def increment(planes: list[int], row: int) -> None:
@@ -236,7 +223,29 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResu
     return SquareResult(best, best * best, rows * cols)
 
 
-def max_cube_text(v: GridText) -> CubeResult:
-    """cubes.max_cube on a volume's text, the file's bytes for `cube`."""
-    best = sweep(text_layers(v), (1, v.cols + 1), min(v.rows, v.cols))[0]
-    return CubeResult(best, v.depth * v.rows * v.cols)
+def max_cube_lines(blocks: Iterable[bytes], cols: int) -> CubeResult:
+    """cubes.max_cube on a volume's lines of `cols` cells, given as
+    `layer_boards` takes them.
+
+    Each layer's board goes through `sweep`, which states why one test per
+    layer, at t = best + 1, suffices: the positions whose depth run is at
+    least t are eroded by t along rows (unit 1), then along columns (unit
+    cols + 1), and a bit left over is a t x t x t cube.  Layer 0 is packed
+    first, as its rows bound the side with cols; once the side reaches that
+    bound no layer is packed, but every block is still read, and
+    volume_visited counts the voxels the read checks, depth * rows * cols.
+    """
+    blocks, depth = iter(blocks), 0
+    layers = layer_boards(blocks, cols)
+    head = list(islice(layers, 1))
+    rows = head[0][1] if head else 0
+
+    def boards() -> Iterator[int]:
+        nonlocal depth
+        for depth, (board, _) in enumerate(chain(head, layers), 1):
+            yield board
+
+    best = sweep(boards(), (1, cols + 1), min(rows, cols))[0]
+    # the sweep stopped at its limit; check the rest, counting its lines
+    lines = depth * rows + sum(len(block) // (cols + 1) for block in blocks)
+    return CubeResult(best, lines * cols)

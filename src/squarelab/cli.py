@@ -12,11 +12,10 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import BinaryIO, ContextManager
 
-from .core import GridText, MatrixParseError, PlotTarget, read_grid, read_lines
+from .core import GridText, MatrixParseError, PlotTarget, read_lines
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -36,15 +35,6 @@ SOLVE_ALGOS = {
 }
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-def _read_bytes(path: str) -> bytes:
-    # stdin and files are both read as bytes, whatever the locale, so a '\r'
-    # or a non-ASCII byte reaches core's checks and the line parser, which
-    # names its line
-    if path == "-":
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
 
 
 def _write_file(path: str, text: str) -> None:
@@ -199,16 +189,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cube(args: argparse.Namespace) -> int:
-    text = read_grid(_read_bytes(args.path), layers=True)
-    if args.algo == "freq":
-        from .bitplanes import max_cube_text
+    with _open_source(args.path) as stream:
+        blocks, cols, _ = read_lines(stream, layers=True)
+        if args.algo == "freq":
+            from .bitplanes import max_cube_lines
 
-        result = max_cube_text(text)
-    else:
-        from .cubes import brute_force_cube
-        from .grid import BinaryVolume
+            result = max_cube_lines(blocks, cols)
+        else:
+            text = b"".join(blocks)  # the blank lines between layers included
+            depth = text.count(b"\n\n") + 1 if text else 0
+            rows = len(text) // max(depth, 1) // (cols + 1)
+            from .cubes import brute_force_cube
+            from .grid import BinaryVolume
 
-        result = brute_force_cube(BinaryVolume.from_text(text))
+            result = brute_force_cube(BinaryVolume.from_text(GridText(text, depth, rows, cols)))
     print(f"side={result.side}")
     return 0
 

@@ -1,19 +1,15 @@
 """What `solve`, `rect` and `cube` run besides their kernel: the value base,
-the result types, the error types and the read path.
+the result types, the error types and the reader.
 
-One check reads a file: `_is_lines` checks a block of whole lines, about
-BLOCK bytes, with a few whole-buffer operations.  `solve` and `rect` read
-their input a block at a time with `read_lines`, each block checked as it
-arrives, so neither holds the whole text: `solve`'s default kernel sweeps
-each block, `rect` packs each into its one board, and `solve`'s reference
-algorithms join the blocks into one GridText.  `cube` reads the whole
-file with `read_grid` as GridText, a matrix being a volume of one layer,
-whose check runs over the text a block at a time, and `bitplanes` packs
-its layers.  This module knows a grid only as that text: the 0/1 cell
-types, and the conversions between them and the text (`to_text`,
-`from_text`), are in `grid`, which this module imports only when a file
-fails the check, for the line parser that names the line it fails on.
-So `solve`, `rect` and `cube` with their default kernels never import
+One reader reads every grid file, `read_lines`: a matrix, or a volume, a
+block of whole lines at a time, each block checked as it arrives by
+`_is_lines` with a few whole-buffer operations, so no command holds the
+whole text.  The kernels sweep or pack each block as it comes, and the
+reference algorithms join the blocks into one GridText.  This module knows
+a grid only as that text: the 0/1 cell types, and the conversions between
+them and the text, are in `grid`, which this module imports only when a
+file fails the check, for the line parser that names the line it fails
+on.  So `solve`, `rect` and `cube` with their default kernels never import
 `grid` on a well-formed file, and, with no bytecode cached, compile only
 the source they run.
 
@@ -34,10 +30,9 @@ from typing import BinaryIO, Iterator
 # the largest input, in cells, the brute-force square oracle accepts
 ORACLE_CELL_CAP = 10_000
 
-# about the bytes of whole lines checked at a time: a block `solve` or
-# `rect` reads, or a slice of the text GridText checks; the check deletes
-# the cells from a piece of it at a time, so the copies it makes stay small
-# next to it
+# about the bytes of whole lines checked at a time: a block `read_lines`
+# reads, or a slice of the text GridText checks; the check deletes the cells
+# from a piece of it at a time, so the copies it makes stay small next to it
 BLOCK = 1 << 16
 _PIECE = 1 << 13
 
@@ -190,16 +185,14 @@ def _is_grid_text(text: bytes, depth: int, rows: int, cols: int) -> bool:
 class GridText(_Record):
     """A grid in its file format, as bytes: depth layers of rows lines of
     cols '0'/'1' cells, each line ending in a newline, the layers joined by
-    one blank line.  A matrix is one layer.  Layer d is the rows * (cols + 1)
-    bytes at d * pitch, pitch being one more; in it, row i is the cols bytes
-    at i * (cols + 1), and column j is every (cols + 1)-th byte from j.
+    one blank line.  A matrix is one layer.
 
-    `__new__` checks the whole text, each layer's lines a block at a time
-    as `solve` reads a file, so every slice the packers in `bitplanes`
-    hand to int(.., 2), which would also take whitespace, '_' or a sign,
-    is '0'/'1' digits.  A grid with no
-    cells is the empty volume (0x0x0) or a matrix with no columns (rows x 0,
-    its text one newline per row), as BinaryMatrix and BinaryVolume have it.
+    `__new__` checks the whole text, each layer's lines a block at a time,
+    so every slice the packers in `bitplanes` hand to int(.., 2), which
+    would also take whitespace, '_' or a sign, is '0'/'1' digits.  A grid
+    with no cells is the empty volume (0x0x0) or a matrix with no columns
+    (rows x 0, its text one newline per row), as BinaryMatrix and
+    BinaryVolume have it.
     """
 
     __slots__ = ()
@@ -214,49 +207,19 @@ class GridText(_Record):
             raise ValueError(f"text is not a {depth}x{rows}x{cols} grid of '0'/'1' cells")
         return tuple.__new__(cls, (text, depth, rows, cols))
 
-    @property
-    def pitch(self) -> int:
-        return self.rows * (self.cols + 1) + 1
 
+def read_lines(stream: BinaryIO, layers: bool = False) -> tuple[Iterator[bytes], int, int]:
+    """A matrix file, or a volume file (`layers`), read from `stream` a
+    block of whole lines at a time: its blocks, each checked in bulk as it
+    is read, the width of its lines, and the number of lines its size
+    gives, -1 when it has none (a pipe).
 
-def read_grid(data: bytes, layers: bool) -> GridText:
-    """The grid in a file's bytes, checked in bulk and read in place.
-
-    The last line may omit its newline.  The first newline gives cols.  A
-    matrix is one layer, the whole text; a volume (`layers`) has layer 0
-    end at the first blank line.  GridText checks the bytes against that
-    shape.  Anything it rejects, and the empty file, goes to the line
-    parser, grid.parse_volume or grid.parse_matrix, which raises the error,
-    naming the line, that it raises on the decoded text.
-    """
-    text = data if data.endswith(b"\n") else data + b"\n"
-    cols = text.find(b"\n")
-    if cols > 0:  # a blank first line is the line parser's to report
-        end = text.find(b"\n\n") if layers else -1
-        size = len(text) if end < 0 else end + 1
-        try:
-            return GridText(text, (len(text) + 1) // (size + 1), size // (cols + 1), cols)
-        except ValueError:
-            pass
-    from .grid import parse_matrix, parse_volume
-
-    # a byte that is not UTF-8 is kept as a surrogate, so the line parser
-    # names it and its line
-    lines = data.decode("utf-8", "surrogateescape")
-    return (parse_volume if layers else parse_matrix)(lines).to_text()
-
-
-def read_lines(stream: BinaryIO) -> tuple[Iterator[bytes], int, int]:
-    """A matrix file read from `stream` a block of whole lines at a time:
-    its blocks, each checked in bulk as it is read, the width of its lines,
-    and the number of lines its size gives, -1 when it has none (a pipe).
-
-    The first line gives the width, as in read_grid, and the last line may
-    omit its newline.  A block is about BLOCK bytes of whole lines when
-    every line before it is a row of that width; one that fails the check,
-    and a blank first line, goes with the rest of the line it ends in to
-    the line parser, which raises the error, naming the line, that it
-    raises on the whole text.  The empty file has no blocks.
+    The first line gives the width, and the last line may omit its newline.
+    A block is about BLOCK bytes of whole lines.  In a volume each blank
+    line, which ends a layer, is a block of its own, and every later layer
+    must have layer 0's rows.  A block that fails the check goes to the line
+    parser, which raises the error, naming the line, that it raises on the
+    whole text.  The empty file has no blocks.
     """
     first = stream.readline()
     cols = len(first) - first.endswith(b"\n")
@@ -266,33 +229,70 @@ def read_lines(stream: BinaryIO) -> tuple[Iterator[bytes], int, int]:
         rows = -1
     else:
         rows = -(-st.st_size // (cols + 1)) if S_ISREG(st.st_mode) else -1
-    return _checked_blocks(stream, first, cols), cols, rows
+    return _checked_blocks(stream, first, cols, layers), cols, rows
 
 
-def _checked_blocks(stream: BinaryIO, first: bytes, cols: int) -> Iterator[bytes]:
+def _checked_blocks(stream: BinaryIO, first: bytes, cols: int, layers: bool) -> Iterator[bytes]:
     stride = cols + 1
     size = _block_size(stride)
-    block = first + stream.read(size - len(first)) if first.endswith(b"\n") else first
-    line = 1
-    while block:
-        ended = len(block) < size  # a read comes back short only at the end
-        if ended and not block.endswith(b"\n"):
-            block += b"\n"
+    rest, pos = first, 0  # bytes read and not yet taken: rest[pos:]
+
+    def take(n: int) -> bytes:
+        # the next n bytes; fewer only at the end, the last line's newline added
+        nonlocal rest, pos
+        block, pos = rest[pos:pos + n], pos + n
+        if len(block) < n:
+            rest = b""
+            block += stream.read(n - len(block))
+            if 0 < len(block) < n and not block.endswith(b"\n"):
+                block += b"\n"
+        return block
+
+    # a matrix (layer -1), or a volume's layer 0, up to the blank line ending it
+    line, end, layer = 1, -1, 0 if layers else -1
+    while block := take(size):
+        end = block[::stride].find(b"\n") if layers and cols else -1
+        if end >= 0:  # the blank line, and what follows it, are taken again
+            rest, pos, block = block, end * stride, block[:end * stride]
         if not (cols and _is_lines(block, stride)):
-            _raise_line_error(block if ended else block + stream.readline(), line, cols)
+            _raise_line_error(block + rest[pos:], stream, line, cols, layer, line - 1)
         line += len(block) // stride
-        yield block
-        if ended:
-            return
+        if block:
+            yield block
+        if end >= 0:
+            break
         del block  # so the last block is not held while the next is read
-        block = stream.read(size)
+    # every later layer of a volume: a blank line, then layer 0's rows
+    rows = line - 1
+    while end >= 0 and (sep := take(1)):
+        if sep != b"\n":  # the layer runs on
+            _raise_line_error(sep + rest[pos:], stream, line, cols, layer, rows, rows)
+        yield sep
+        line, layer = line + 1, layer + 1
+        for had in range(0, rows, size // stride):
+            want = min(size, (rows - had) * stride)
+            block = take(want)
+            if len(block) < want or not _is_lines(block, stride):
+                _raise_line_error(block + rest[pos:], stream, line, cols, layer, had, rows)
+            line += want // stride
+            yield block
+            del block
 
 
-def _raise_line_error(data: bytes, first: int, cols: int) -> None:
-    # data is whole lines of a matrix file from its line `first` on, every
-    # line before them a row `cols` cells wide, and holds a line that is
-    # not; the width is counted in characters, as the parser counts line 1
-    from .grid import _parse_rows, _split_lines
+def _raise_line_error(data: bytes, stream: BinaryIO, first: int, cols: int,
+                      layer: int, had: int, rows: int = -1) -> None:
+    # data, whole lines of a file from its line `first` on, with the rest of
+    # its last line (a matrix, layer -1) or of the layer it ends in, holds a
+    # line or a layer the line parser rejects; every line before it is a row
+    # `cols` cells wide, `had` of them in layer `layer`, and layer 0 has
+    # `rows` rows, -1 while it is read; line 1's width is counted in
+    # characters, as the parser counts it
+    from .grid import _parse_layers, _parse_rows, _split_lines
 
-    lines = _split_lines(data.decode("utf-8", "surrogateescape"))
-    _parse_rows(lines, first, cols if first > 1 else len(lines[0]))
+    parts = [data, b"" if data.endswith(b"\n") else stream.readline()]
+    while layer >= 0 and (more := stream.readline()) not in (b"", b"\n"):
+        parts.append(more)
+    lines = _split_lines(b"".join(parts).decode("utf-8", "surrogateescape"))
+    if layer < 0:
+        _parse_rows(lines, first, cols if first > 1 else len(lines[0]))
+    _parse_layers(lines, first, layer, had, (rows, cols))

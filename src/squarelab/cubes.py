@@ -5,19 +5,20 @@ A depth-frequency matrix counts consecutive ones along the depth axis per
 side k ending there.  One sweep over the layers finds the largest side,
 testing one side per layer, by the invariant `bitplanes.sweep` states.
 
-max_cube runs that sweep on whole-layer bitboards: the counts are a
-bit-sliced counter over each packed layer, and the k x k window test is a
-row erosion followed by a column erosion of the thresholded mask.  Its form
-on a file's text, `bitplanes.max_cube_text`, is what `cube` runs.
-DepthFreqMatrix, depth_freq_update and exists_cube_at_depth do the same
-one voxel at a time; they are the reference max_cube is tested against,
-as freq_square is for freq_bits.
+max_cube runs `bitplanes.max_cube_lines`, the kernel `cube` runs on a
+file, on the volume's text: each layer is one packed board, the counts a
+bit-sliced counter over them, and the k x k window test a row erosion
+then a column erosion of the thresholded mask.  DepthFreqMatrix,
+depth_freq_update and exists_cube_at_depth do the same one voxel at a
+time; they are the reference max_cube is tested against.
 """
 
 from __future__ import annotations
 
-from .bitplanes import max_cube_text
-from .core import CubeResult, OracleCapExceededError
+from io import BytesIO
+
+from .bitplanes import max_cube_lines
+from .core import CubeResult, OracleCapExceededError, read_lines
 from .grid import BinaryMatrix, BinaryVolume
 
 CUBE_ORACLE_CELL_CAP = 4096
@@ -98,19 +99,11 @@ def exists_cube_at_depth(f: DepthFreqMatrix, k: int) -> bool:
 
 
 def max_cube(v: BinaryVolume) -> CubeResult:
-    """Largest all-ones cube side in one sweep over whole-layer bitboards.
-
-    Each layer is one int with a guard bit after every row (see
-    bitplanes.text_layers), and the layers go through `bitplanes.sweep`,
-    which states why one test per layer, at t = best + 1, suffices.  The
-    positions whose depth run is at least t are eroded by t along rows
-    (shift unit 1) and then along columns (shift unit cols + 1); a bit left
-    over is a t x t x t cube.  volume_visited counts the voxels the read
-    checks, depth * rows * cols.  DepthFreqMatrix, depth_freq_update and
-    exists_cube_at_depth are the per-voxel reference this sweep is tested
-    against.
-    """
-    return max_cube_text(v.to_text())
+    """Largest all-ones cube side in one sweep over whole-layer bitboards:
+    `bitplanes.max_cube_lines`, which `cube` runs, on the volume's text
+    read as `cube` reads a file."""
+    blocks, cols, _ = read_lines(BytesIO(v.to_text().text), layers=True)
+    return max_cube_lines(blocks, cols)
 
 
 def brute_force_cube(v: BinaryVolume) -> CubeResult:

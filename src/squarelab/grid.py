@@ -6,16 +6,13 @@ characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
 
 BinaryMatrix and BinaryVolume, the cell values the library solvers take,
-hold the one codec between a grid and its file text (`core.GridText`, in
-which a matrix is one layer, and which `bitplanes` packs): `from_text`,
-and `to_text`, which for both types is `_text_of`.  A well-formed file is
-read in place by `core.read_grid` (`cube`), or a block of lines at a
-time by `core.read_lines` (`solve`, whose reference algorithms take the
-BinaryMatrix of the joined blocks, and `rect`), which import this module only
-for what their check rejects: the line parsers here, `parse_matrix`,
-`parse_volume` and the row parser under both, report it, naming the
-line.  The value base, the error types, the text type and the read path
-are defined in `core`.
+hold the one codec between a grid and its file text (`core.GridText`):
+`from_text`, and `to_text`, which for both types is `_text_of`.  Files are
+read a block of lines at a time by `core.read_lines`, which imports this
+module only for what its check rejects: the line parsers here report it,
+naming the line, from the line and layer the failing block starts in
+(`_parse_rows` under `parse_matrix`, `_parse_layers` under `parse_volume`).
+The value base, the error types, the text type and the reader are in `core`.
 """
 
 from __future__ import annotations
@@ -260,31 +257,39 @@ serialize_volume = serialize_matrix
 
 
 def parse_volume(text: str) -> BinaryVolume:
-    """Parse layers separated by exactly one blank line, depth 0 first.
-
-    Each layer goes through the matrix row parser; what is left here is
-    that no layer is empty and that every layer has the first one's shape.
-    """
+    """Parse layers separated by exactly one blank line, depth 0 first: each
+    through the matrix row parser, then its shape (`_parse_layers`)."""
     lines = _split_lines(text)
-    if not lines:
-        return EMPTY_VOLUME
+    return BinaryVolume.from_layers(_parse_layers(lines, 1, 0, 0, (0, 0)) if lines else [])
+
+
+def _parse_layers(lines: list[str], first: int, layer: int, had: int,
+                  shape: tuple[int, int]) -> list[BinaryMatrix]:
+    """The layers in `lines`, a volume's text from its line `first` on, which
+    continue layer `layer` (0 on top) after `had` rows shape[1] cells wide.
+    Each layer's lines are checked in order, then its shape against `shape`,
+    layer 0's (rows, cols), which layer 0 sets, at its closing blank line or
+    one line past the text, where an empty layer fails too."""
     layers: list[BinaryMatrix] = []
     start = 0
     for end in [i for i, line in enumerate(lines) if not line] + [len(lines)]:
-        lineno = end + 1  # the blank line closing the layer, or one past the text
-        if start == end:
+        lineno = first + end  # the blank line closing the layer, or one past the text
+        if start == end and not had:
             raise LayerShapeMismatchError(f"empty layer before line {lineno}", lineno)
-        layer = _parse_rows(lines[start:end], start + 1, len(lines[start]))
-        first = layers[0] if layers else layer
-        if (layer.rows, layer.cols) != (first.rows, first.cols):
+        cols = shape[1] if had else len(lines[start])
+        if start < end:
+            layers.append(_parse_rows(lines[start:end], first + start, cols))
+        size = (had + end - start, cols)
+        if not layer:
+            shape = size
+        elif size != shape:
             raise LayerShapeMismatchError(
-                f"layer {len(layers) + 1} is {layer.rows}x{layer.cols}, "
-                f"expected {first.rows}x{first.cols} (line {lineno})",
+                f"layer {layer + 1} is {size[0]}x{size[1]}, "
+                f"expected {shape[0]}x{shape[1]} (line {lineno})",
                 lineno,
             )
-        layers.append(layer)
-        start = end + 1
-    return BinaryVolume.from_layers(layers)
+        layer, had, start = layer + 1, 0, end + 1
+    return layers
 
 
 def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> GridText:

@@ -9,18 +9,17 @@ that area, so the answer, ties included, is the row-wise stack's.  Serves
 as the comparison point for the square solvers (every square is a
 rectangle).
 
-`rect` runs `maximal_rectangle_lines` on the blocks of whole lines
-`core.read_lines` reads from a file, packed into the board as they come,
-and `maximal_rectangle` runs the same walk on a matrix's board, so this
-module loads only `bitplanes` and `core`, not `grid`; RectResult, which
-it returns, is defined in `core`.
+`rect` runs `maximal_rectangle_lines` on the blocks `core.read_lines`
+reads from a file, and `maximal_rectangle` on a matrix's text as one
+block, each packed by `bitplanes.lines_board`; so this module loads only
+`bitplanes` and `core`, where RectResult is defined, not `grid`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .bitplanes import has_run, lines_board, text_layers
+from .bitplanes import has_run, lines_board
 from .core import RectResult
 
 if TYPE_CHECKING:
@@ -83,17 +82,16 @@ def _lift(tall: list[int], n: int, top: int, unit: int, step: int) -> int:
 
 def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     """Largest all-ones rectangle: the stack's answer, row by row, keeping
-    the first strictly larger area.  The grid is one board, its one
-    layer's (`bitplanes.text_layers`), and `_walk` finds the rectangle on
-    it."""
-    return _walk(next(text_layers(m.to_text())), m.rows, m.cols)
+    the first strictly larger area.  The grid's text is packed as one
+    block into one board, as `rect` packs a file's, and `_walk` finds the
+    rectangle on it."""
+    return maximal_rectangle_lines([m.to_text().text], m.cols)
 
 
 def maximal_rectangle_lines(blocks: Iterable[bytes], cols: int) -> RectResult:
     """maximal_rectangle on a matrix's lines of `cols` cells, given a block
-    of whole lines at a time, as `core.read_lines` reads a file for `rect`;
-    each block is packed into the board as it comes
-    (`bitplanes.lines_board`)."""
+    of whole lines at a time, as `core.read_lines` reads a file for `rect`,
+    each packed into the board as it comes (`bitplanes.lines_board`)."""
     board, rows = lines_board(blocks, cols)
     return _walk(board, rows, cols)
 

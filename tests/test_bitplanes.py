@@ -1,3 +1,4 @@
+import io
 import random
 import sys
 import tracemalloc
@@ -9,13 +10,13 @@ from squarelab.bitplanes import (
     fold_columns,
     has_run,
     increment,
+    layer_boards,
     line_rows,
     lines_board,
     sweep,
-    text_layers,
 )
 from squarelab.cli import main
-from squarelab.core import GridText, _block_size
+from squarelab.core import GridText, _block_size, read_lines
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -57,8 +58,20 @@ def columns_of(m):
     return columns
 
 
+def text_board(t):
+    """A matrix's text as its board: each newline a guard bit, row 0 on top."""
+    return int(t.text.translate(bytes.maketrans(b"\n", b"0")), 2) if t.text else 0
+
+
+def layer_boards_of(text):
+    """The board and rows of each layer of a volume's text, as `cube` reads
+    it from a file."""
+    blocks, cols, _ = read_lines(io.BytesIO(text), layers=True)
+    return list(layer_boards(blocks, cols))
+
+
 def layers_of(v):
-    return list(text_layers(v.to_text()))
+    return [board for board, _ in layer_boards_of(v.to_text().text)]
 
 
 def peak_allocated(f, *args):
@@ -97,14 +110,14 @@ def test_packed_columns_match_each_columns_text(rows, cols):
 
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 16, 65])
 def test_text_board_reads_each_newline_as_a_guard_bit(cols):
-    # a matrix's text is one layer, so its whole board is text_layers' first;
-    # eight lines are packed at a time: 1 and 7 rows are one partial block,
-    # 8 one whole block, and 9 and 17 whole blocks under a partial one
+    # a matrix's text is one block of lines, packed into one board; eight
+    # lines are packed at a time: 1 and 7 rows are one partial block, 8 one
+    # whole block, and 9 and 17 whole blocks under a partial one
     for rows in (1, 7, 8, 9, 17):
         m = generate_matrix(GenSpec(rows, cols, 0.7, cols)) if cols else BinaryMatrix(rows, 0, b"")
         t = m.to_text()
-        assert next(text_layers(t)) == int(t.text.translate(bytes.maketrans(b"\n", b"0")), 2)
-    assert next(text_layers(EMPTY_MATRIX.to_text())) == 0
+        assert lines_board([t.text], cols) == (text_board(t), rows)
+    assert lines_board([EMPTY_MATRIX.to_text().text], 0) == (0, 0)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 16, 65])
@@ -113,7 +126,7 @@ def test_lines_board_packs_blocks_as_text_layers_packs_the_text(cols):
     # partial last group ends on any line of a block
     for rows in range(1, 18):
         t = generate_matrix(GenSpec(rows, cols, 0.7, rows * cols)).to_text()
-        want = next(text_layers(t))
+        want = text_board(t)
         for lines in range(1, 10):
             size = lines * (cols + 1)
             blocks = [t.text[i:i + size] for i in range(0, len(t.text), size)]
@@ -123,24 +136,26 @@ def test_lines_board_packs_blocks_as_text_layers_packs_the_text(cols):
 
 # a board is an eighth of its text, and the packer holds at most three
 # boards at once (its bytearray, the copy int.from_bytes makes of it and the
-# int), so a copy of the text, or of a layer, breaks the bound
+# int), so a copy of the text, or of a layer, breaks the bound; a matrix's
+# text is packed as one block, which `b"" + block` does not copy
 @pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (250, 4000)])
 def test_text_board_makes_no_copy_of_the_text(rows, cols):
     t = generate_matrix(GenSpec(rows, cols, 0.5, rows)).to_text()
-    assert peak_allocated(lambda t: next(text_layers(t)), t) < len(t.text) // 2
+    assert peak_allocated(lambda t: lines_board([t.text], t.cols), t) < len(t.text) // 2
 
 
-# the check runs over the text a block of whole lines at a time, so `rect`
-# and `cube`, which read the whole file, hold no second copy of it
+# the check runs over the text a block of whole lines at a time, so a
+# library call, or `solve --algo brute`, holds no second copy of it
 @pytest.mark.parametrize("depth, rows, cols", [(1, 1000, 1000), (1, 4000, 250), (4, 250, 1000)])
 def test_grid_text_check_makes_no_copy_of_the_text(depth, rows, cols):
     t = generate_volume(GenSpec(rows, cols, 0.5, rows, depth=depth)).to_text()
     assert peak_allocated(lambda fields: GridText(*fields), t) < len(t.text) // 8
 
 
-def test_text_layers_make_no_copy_of_a_layer():
+# a volume's text read as `cube` reads a file, a block at a time
+def test_layer_boards_make_no_copy_of_a_layer():
     t = generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)).to_text()
-    assert peak_allocated(lambda t: list(text_layers(t)), t) < len(t.text) // 2
+    assert peak_allocated(layer_boards_of, t.text) < len(t.text) // 2
 
 
 # `solve` holds a block of the file at a time: on a matrix no taller than it
@@ -180,8 +195,28 @@ def test_rect_holds_its_board_not_the_file(tmp_path, capsys, rows, cols):
     added = (peak_allocated(main, ["rect", str(path)])
              - peak_allocated(main, ["rect", str(empty)]))
     assert capsys.readouterr().err == ""
-    board = sys.getsizeof(next(text_layers(t)))
+    board = sys.getsizeof(lines_board([t.text], cols)[0])
     assert added < 5 * board + 2 * _block_size(cols + 1)
+
+
+# `cube` packs each layer's board from a block of the file at a time, and
+# holds, at most, a layer board being packed (its bytearray, the copy
+# int.from_bytes makes of it and the int), layer 0's, the board the sweep
+# is on, its counter planes, the mask it erodes and the temporaries of a
+# shift-AND on it, and a block or two; many small layers fit in one block,
+# and a layer of (3, 600, 600) spans several blocks
+@pytest.mark.parametrize("depth, rows, cols", [(60, 200, 200), (3, 600, 600)])
+def test_cube_holds_a_layer_board_not_the_file(tmp_path, capsys, depth, rows, cols):
+    t = generate_volume(GenSpec(rows, cols, 0.9, rows, depth=depth)).to_text()
+    path, empty = tmp_path / "v.txt", tmp_path / "empty.txt"
+    path.write_bytes(t.text)
+    empty.write_bytes(b"")
+    main(["cube", str(path)])  # loads what a run loads
+    added = (peak_allocated(main, ["cube", str(path)])
+             - peak_allocated(main, ["cube", str(empty)]))
+    assert capsys.readouterr().err == ""
+    board = sys.getsizeof(layer_boards_of(t.text)[0][0])
+    assert added < 8 * board + 2 * _block_size(cols + 1)
 
 
 def test_packed_layers_end_every_row_with_a_guard_bit():

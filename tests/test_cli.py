@@ -16,7 +16,8 @@ from squarelab import bench, bitplanes, cli, core, squares
 from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
 from squarelab.core import MatrixParseError, RectResult, SquareResult
-from squarelab.grid import GenSpec, generate_matrix, parse_matrix
+from squarelab.cubes import max_cube
+from squarelab.grid import GenSpec, generate_matrix, parse_matrix, parse_volume
 from squarelab.histogram import build_histograms, largest_rect_in_histogram
 
 
@@ -719,10 +720,14 @@ def test_edge_inputs_print_what_the_line_parser_printed(tmp_path, capsys, monkey
 
 
 def line_parser_says(data, command="solve"):
-    """What `squarelab solve`, or `rect`, prints when the whole text goes
-    through the line parser: the square, or the first largest rectangle of
-    the row-by-row stack, that it finds, or the error it names."""
+    """What `squarelab solve`, `rect` or `cube` prints when the whole text
+    goes through the line parser: the square, the first largest rectangle
+    of the row-by-row stack, or the cube, that it finds, or the error it
+    names."""
     try:
+        if command == "cube":
+            side = max_cube(parse_volume(data.decode("utf-8", "surrogateescape"))).side
+            return 0, f"side={side}\n", ""
         m = parse_matrix(data.decode("utf-8", "surrogateescape"))
     except MatrixParseError as exc:
         return parse_error(exc.line, str(exc))
@@ -761,11 +766,12 @@ def run_from(capsys, monkeypatch, tmp_path, source, data, command, *options):
 @pytest.mark.parametrize("name", EDGE_INPUTS)
 def test_edge_inputs_solve_the_same_a_few_lines_at_a_time(tmp_path, capsys, monkeypatch,
                                                          name, source):
-    # `solve` and `rect` read through the one streamed reader
+    # every grid command reads through the one streamed reader
     monkeypatch.setattr(core, "BLOCK", 6)  # two lines of two cells
     data, *want = EDGE_INPUTS[name]
-    for command, kind in ("solve", 0), ("rect", 1):
-        assert run_from(capsys, monkeypatch, tmp_path, source, data, command) == want[kind]
+    for command, kind in EDGE_COMMANDS:
+        got = run_from(capsys, monkeypatch, tmp_path, source, data, *command)
+        assert got == want[kind], command
 
 
 MALFORMED = {"ragged": b"101\n10\n101\n", "invalid-char": b"101\n1x1\n",
@@ -792,7 +798,17 @@ def test_every_algo_fails_and_solves_as_bits_does(tmp_path, capsys, monkeypatch,
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
 
 
-# what `rect` prints on each MALFORMED input, whatever its source and block size
+# what `rect` and `cube` print on each MALFORMED input, whatever its source
+# and block size; a blank line is a matrix's error, and ends a volume's layer
+CUBE_MALFORMED = {
+    "ragged": parse_error(2, "line 2 has 2 cells, expected 3"),
+    "invalid-char": parse_error(2, "invalid character 'x' at line 2"),
+    "crlf": parse_error(1, "invalid character '\\r' at line 1"),
+    "blank-line": (0, "side=1\n", ""),
+    "not-utf8": parse_error(2, "invalid character '\\udcff' at line 2"),
+    "empty": (0, "side=0\n", ""),
+    "no-final-newline": (0, "side=1\n", ""),
+}
 RECT_MALFORMED = {
     "ragged": parse_error(2, "line 2 has 2 cells, expected 3"),
     "invalid-char": parse_error(2, "invalid character 'x' at line 2"),
@@ -814,6 +830,58 @@ def test_rect_fails_and_solves_as_the_whole_file_read_did(tmp_path, capsys, monk
             assert run_from(capsys, monkeypatch, tmp_path, source, data, "rect") == want, source
 
 
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_cube_fails_and_solves_as_the_whole_file_read_did(tmp_path, capsys, monkeypatch,
+                                                          kind):
+    data, want = MALFORMED[kind], CUBE_MALFORMED[kind]
+    assert line_parser_says(data, "cube") == want
+    for block in (core.BLOCK, 3):
+        monkeypatch.setattr(core, "BLOCK", block)
+        for source in SOURCES:
+            for algo in "freq", "brute":
+                assert run_from(capsys, monkeypatch, tmp_path, source, data,
+                                "cube", "--algo", algo) == want, (source, algo)
+
+
+def layers_of_ones(depth, rows, cols=2):
+    return [(b"1" * cols + b"\n") * rows] * depth
+
+
+# a volume of three layers of `rows` lines whose middle layer, or whose end,
+# is malformed as only a volume can be; with blocks of three lines, layers of
+# two, three and four rows end before, at and after a block boundary
+VOLUME_KINDS = {
+    "short-layer": lambda rows: layers_of_ones(3, rows)[:1] + [b"11\n" * (rows - 1)]
+                                + layers_of_ones(1, rows),
+    "long-layer": lambda rows: layers_of_ones(3, rows)[:1] + [b"11\n" * (rows + 1)]
+                               + layers_of_ones(1, rows),
+    "wide-layer": lambda rows: layers_of_ones(1, rows) + layers_of_ones(1, rows, 3)
+                               + layers_of_ones(1, rows),
+    "empty-layer": lambda rows: layers_of_ones(1, rows) + [b""] + layers_of_ones(2, rows),
+    "trailing-blank": lambda rows: layers_of_ones(3, rows) + [b""],
+    # the line error wins over the layer's shape, before or after its rows
+    "char-and-short": lambda rows: layers_of_ones(1, rows) + [b"1x\n" + b"11\n" * (rows - 2)]
+                                   + layers_of_ones(1, rows),
+    "char-and-long": lambda rows: layers_of_ones(1, rows) + [b"11\n" * rows + b"1x\n"]
+                                  + layers_of_ones(1, rows),
+    "char-in-last-layer": lambda rows: layers_of_ones(2, rows) + [b"11\n" * (rows - 1) + b"1x"],
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("kind", VOLUME_KINDS)
+def test_a_malformed_layer_fails_as_the_line_parser_says(tmp_path, capsys, monkeypatch,
+                                                         kind, source):
+    monkeypatch.setattr(core, "BLOCK", 9)  # three lines of two cells
+    for rows in 2, 3, 4:
+        data = b"\n".join(VOLUME_KINDS[kind](rows))
+        want = line_parser_says(data, "cube")
+        assert want[0] == 2
+        for algo in "freq", "brute":
+            assert run_from(capsys, monkeypatch, tmp_path, source, data,
+                            "cube", "--algo", algo) == want, (rows, algo)
+
+
 BAD_LINES = {"char": b"10x1\n", "short": b"101\n", "long": b"10111\n", "blank": b"\n",
              "byte": b"1\xff11\n", "crlf": b"1011\r\n", "last": b"1011"}
 
@@ -823,23 +891,24 @@ BAD_LINES = {"char": b"10x1\n", "short": b"101\n", "long": b"10111\n", "blank": 
 def test_a_bad_line_anywhere_in_a_block_fails_as_the_line_parser_says(
         tmp_path, capsys, monkeypatch, kind, source):
     # three lines a block: each of three blocks gets the bad line at its
-    # first, middle and last line in turn
+    # first, middle and last line in turn; to `cube`, a blank line ends a layer
     monkeypatch.setattr(core, "BLOCK", 15)
     for at in range(9):
         lines = [b"1011\n"] * 9
         lines[at] = BAD_LINES[kind]
         data = b"".join(lines)
-        for command in "solve", "rect":
+        for command in "solve", "rect", "cube":
             want = line_parser_says(data, command)
-            assert want[0] == (0 if kind == "last" and at == 8 else 2)
+            assert want[0] == (0 if kind == "last" and at == 8
+                               or command == "cube" and kind == "blank" and at == 4 else 2)
             assert run_from(capsys, monkeypatch, tmp_path, source, data, command) == want, at
 
 
-# the child reads in blocks of argv[1] bytes of whole lines
-SOLVE_IN_BLOCKS = """import sys
+# the child runs argv[2:] reading in blocks of argv[1] bytes of whole lines
+IN_BLOCKS = """import sys
 from squarelab import cli, core
 core.BLOCK = int(sys.argv[1])
-sys.exit(cli.main(["solve", *sys.argv[2:]]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 SQUARE_OF_ONES = (b"1" * 300 + b"\n") * 300
 
@@ -857,10 +926,47 @@ def test_a_bad_last_line_fails_after_the_sweep_stops(tmp_path, tail):
     assert want[0] == (0 if not tail else 2)
     env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
     for block in (core.BLOCK, 5 * 301):
-        argv = [sys.executable, "-c", SOLVE_IN_BLOCKS, str(block)]
+        argv = [sys.executable, "-c", IN_BLOCKS, str(block), "solve"]
         for proc in (subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60),
                      subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)):
             assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+
+VOLUME_OF_ONES = b"\n".join([b"11\n11\n"] * 300)
+
+
+@pytest.mark.parametrize("tail", [b"\n11\n12\n", b"\n11\n1\n", b"\n", b"\n11\r\n11\r\n",
+                                  b"12\n", b""],
+                         ids=["invalid-char", "ragged", "trailing-blank", "crlf", "long-layer",
+                              "none"])
+def test_a_bad_last_line_fails_after_the_cube_sweep_stops(tmp_path, tail):
+    # side 2 is the sweep's limit, reached on layer 2; from a file or a pipe,
+    # in blocks of a layer or of one line, no layer is packed after it, yet
+    # the last line is read
+    data = VOLUME_OF_ONES + tail
+    path = tmp_path / "v.txt"
+    path.write_bytes(data)
+    want = line_parser_says(data, "cube")
+    assert want[0] == (0 if not tail else 2)
+    env = dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent))
+    for block in (core.BLOCK, 3):
+        argv = [sys.executable, "-c", IN_BLOCKS, str(block), "cube"]
+        for proc in (subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=60),
+                     subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)):
+            assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+
+
+def test_the_cube_sweep_stops_packing_at_its_limit_and_reads_on(capsys, monkeypatch):
+    monkeypatch.setattr(core, "BLOCK", 3)
+    packed, pack = [], bitplanes.lines_board
+    monkeypatch.setattr(bitplanes, "lines_board",
+                        lambda blocks, cols: packed.append(cols) or pack(blocks, cols))
+    for tail, want in [(b"", (0, "side=2\n", "")),
+                       (b"\n11\n1\n", parse_error(902, "line 902 has 1 cells, expected 2"))]:
+        packed.clear()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(VOLUME_OF_ONES + tail)))
+        assert run(capsys, "cube") == want
+        assert len(packed) == 2
 
 
 def test_a_valid_file_with_no_final_newline_still_solves(tmp_path, capsys, monkeypatch):

@@ -188,7 +188,7 @@ def test_word_edge_widths(cols):
 
 @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
 def test_layers_of_whole_and_partial_eight_row_blocks(rows):
-    # text_layers packs eight rows at a time, a partial block on top
+    # layer_boards packs eight rows at a time, a partial block on top
     rng = random.Random(rows)
     for _ in range(25):
         spec = GenSpec(rows, rng.randint(1, 20), rng.choice((0.8, 0.95, 1.0)),

@@ -1,12 +1,16 @@
 import copy
 import copyreg
 import inspect
+import io
 import itertools
 import pickle
 import random
+from unittest import mock
 
 import pytest
 
+from squarelab import core
+from squarelab.bitplanes import max_cube_lines
 from squarelab.core import (
     CubeResult,
     GridText,
@@ -15,7 +19,7 @@ from squarelab.core import (
     RaggedRowsError,
     RectResult,
     SquareResult,
-    read_grid,
+    read_lines,
 )
 from squarelab.grid import (
     EMPTY_MATRIX,
@@ -346,29 +350,50 @@ def test_grid_values_compare_as_tuples():
     assert GenSpec(1, 1, 0.0, 0) == (1, 1, 0.0, 0, None)
 
 
-def test_read_matrix_reads_the_file_in_place():
+def read_blocks(data, layers, block):
+    """The blocks `read_lines` reads from data, a block of `block` bytes of
+    whole lines at most, and their width."""
+    with mock.patch.object(core, "BLOCK", block):
+        blocks, cols, _ = read_lines(io.BytesIO(data), layers)
+        return list(blocks), cols
+
+
+def test_read_lines_reads_a_matrix_file_a_block_at_a_time():
     data = b"110\n011\n"
-    t = read_grid(data, layers=False)
-    assert t == (data, 1, 2, 3) and t.text is data
+    assert read_blocks(data, False, core.BLOCK) == ([data], 3)
+    assert read_blocks(data, False, 4) == ([b"110\n", b"011\n"], 3)
+    t = GridText(data, 1, 2, 3)
     assert BinaryMatrix.from_text(t) == parse_matrix(data.decode())
-    # a missing final newline is added; the shape and cells are the same
-    assert read_grid(b"110\n011", layers=False) == t
+    # a missing final newline is added; the lines are the same
+    for block in core.BLOCK, 4:
+        assert read_blocks(b"110\n011", False, block) == read_blocks(data, False, block)
 
 
-def test_read_volume_reads_the_file_in_place():
+def test_read_lines_reads_a_volume_file_a_layer_at_a_time():
+    # each blank line between layers is a block of its own, so no block
+    # straddles a layer's end, whatever the block size
     data = b"10\n01\n\n11\n00\n\n01\n11\n"
-    t = read_grid(data, layers=True)
-    assert t == (data, 3, 2, 2) and t.text is data and t.pitch == 7
+    layers = [b"10\n01\n", b"\n", b"11\n00\n", b"\n", b"01\n11\n"]
+    lines = [b"10\n", b"01\n", b"\n", b"11\n", b"00\n", b"\n", b"01\n", b"11\n"]
+    assert read_blocks(data, True, core.BLOCK) == (layers, 2)
+    assert read_blocks(data, True, 6) == (layers, 2)
+    assert read_blocks(data, True, 3) == (lines, 2)
+    for block in core.BLOCK, 6, 3:
+        assert read_blocks(data[:-1], True, block) == read_blocks(data, True, block)
+    t = GridText(data, 3, 2, 2)
     assert BinaryVolume.from_text(t) == parse_volume(data.decode())
-    assert read_grid(data[:-1], layers=True) == t
-    assert read_grid(b"1\n", layers=True) == (b"1\n", 1, 1, 1)
+    assert read_blocks(b"1\n", True, core.BLOCK) == ([b"1\n"], 1)
 
 
 def test_empty_file_is_the_empty_grid():
-    assert read_grid(b"", layers=False) == EMPTY_MATRIX.to_text() == (b"", 1, 0, 0)
-    assert read_grid(b"", layers=True) == EMPTY_VOLUME.to_text() == (b"", 0, 0, 0)
-    assert BinaryMatrix.from_text(read_grid(b"", layers=False)) == EMPTY_MATRIX
-    assert BinaryVolume.from_text(read_grid(b"", layers=True)) == EMPTY_VOLUME
+    # no blocks, of no width, which `solve` and `cube` read as the empty grid
+    for layers in False, True:
+        assert read_blocks(b"", layers, core.BLOCK) == ([], 0)
+    assert EMPTY_MATRIX.to_text() == (b"", 1, 0, 0)
+    assert BinaryMatrix.from_text(GridText(b"", 1, 0, 0)) == EMPTY_MATRIX
+    assert EMPTY_VOLUME.to_text() == (b"", 0, 0, 0)
+    assert BinaryVolume.from_text(GridText(b"", 0, 0, 0)) == EMPTY_VOLUME
+    assert max_cube_lines(iter([]), 0) == CubeResult(0, 0)
 
 
 # a matrix's text is a grid text of one layer
@@ -403,7 +428,7 @@ def test_volume_text_checks_its_text(fields):
 
 
 def test_grid_text_rebuilds_through_the_check():
-    for t in read_grid(b"10\n01\n", False), read_grid(b"10\n01\n\n11\n11\n", True):
+    for t in GridText(b"10\n01\n", 1, 2, 2), GridText(b"10\n01\n\n11\n11\n", 2, 2, 2):
         assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
         rebuild, args = t.__reduce_ex__(2)[:2]
         assert rebuild is copyreg.__newobj__ and args == (type(t), *t)

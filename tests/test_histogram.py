@@ -4,7 +4,7 @@ import random
 import pytest
 
 from squarelab import histogram
-from squarelab.bitplanes import text_layers
+from squarelab.bitplanes import lines_board
 from squarelab.core import RectResult, SquareResult
 from squarelab.grid import EMPTY_MATRIX, BinaryMatrix, GenSpec, generate_matrix
 from squarelab.histogram import (
@@ -254,7 +254,7 @@ def staircase(n):
 def test_heights_read_off_the_board_are_the_rows_histograms(m):
     # every row's histogram, read up from it a group of eight rows at a
     # time, so groups end above, on and below a multiple of eight
-    board = next(text_layers(m.to_text()))
+    board = lines_board([m.to_text().text], m.cols)[0]
     for first, heights in enumerate(build_histograms(m)):
         read = histogram._heights(board, m.rows, m.cols, first)
         assert read == heights, first

@@ -216,12 +216,12 @@ def grid_imports(node):
 
 def test_core_imports_grid_only_in_the_read_fallbacks():
     # core holds the file text; grid, which owns the cell values and the
-    # conversions, is loaded only to name the line a malformed file fails on,
-    # read whole (read_grid) or a block at a time (read_lines)
+    # conversions, is loaded only to name the line a malformed file, matrix
+    # or volume, fails on, in the reader's one fallback
     tree = ast.parse(Path(squarelab.__file__).with_name("core.py").read_text(encoding="utf-8"))
     fallbacks = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name in ("read_grid", "_raise_line_error")]
-    assert len(fallbacks) == 2 and all(map(grid_imports, fallbacks))
+                 and node.name == "_raise_line_error"]
+    assert len(fallbacks) == 1 and all(map(grid_imports, fallbacks))
     assert grid_imports(tree) == set().union(*map(grid_imports, fallbacks))
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
 from squarelab import core
-from squarelab.bitplanes import freq_bits_lines, max_cube_text
-from squarelab.core import MatrixParseError, RectResult, read_grid, read_lines
+from squarelab.bitplanes import freq_bits_lines, max_cube_lines
+from squarelab.core import GridText, MatrixParseError, RectResult, read_lines
 from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
 from squarelab.grid import (
     BinaryMatrix,
@@ -99,27 +99,35 @@ def line_parse(parse, data):
         return exc.line, str(exc)
 
 
-def bulk_read(data, layers):
-    """read_grid's grid, through its text, or its error's line and message."""
+def bulk_read(data, layers, block):
+    """The grid `read_lines` reads from data in blocks of `block` bytes of
+    whole lines, each checked in bulk, joined as `solve --algo freq` and
+    `cube --algo brute` join them, or its error's line and message."""
     try:
-        t = read_grid(data, layers)
+        with mock.patch.object(core, "BLOCK", block):
+            blocks, cols, _ = read_lines(io.BytesIO(data), layers)
+            text = b"".join(blocks)
     except MatrixParseError as exc:
         return exc.line, str(exc)
-    return (BinaryVolume if layers else BinaryMatrix).from_text(t)
+    if not layers:
+        return BinaryMatrix.from_text(GridText(text, 1, len(text) // (cols + 1), cols))
+    depth = text.count(b"\n\n") + 1 if text else 0
+    rows = len(text) // max(depth, 1) // (cols + 1)
+    return BinaryVolume.from_text(GridText(text, depth, rows, cols))
 
 
 @PROPERTY
-@given(st.one_of(files, grid_files))
+@given(st.one_of(files, grid_files), st.sampled_from([1, 4, 9, core.BLOCK]))
 # int(b" 1", 2) == 1 and int(b"1_1", 2) == 3, so these must fail the check
-@example(b"1_\n11\n")
-@example(b"+1\n11\n")
-@example(b" 1\n11\n")
-@example(b"\n11\n11\n")  # the first newline gives cols 0
-def test_bulk_read_agrees_with_the_line_parser(data):
+@example(b"1_\n11\n", core.BLOCK)
+@example(b"+1\n11\n", core.BLOCK)
+@example(b" 1\n11\n", core.BLOCK)
+@example(b"\n11\n11\n", core.BLOCK)  # the first newline gives cols 0
+def test_bulk_read_agrees_with_the_line_parser(data, block):
     # the bulk check accepts what the line parser accepts, with the same
     # shape and cells, and anything else fails with the line parser's error
-    assert bulk_read(data, layers=False) == line_parse(parse_matrix, data)
-    assert bulk_read(data, layers=True) == line_parse(parse_volume, data)
+    assert bulk_read(data, False, block) == line_parse(parse_matrix, data)
+    assert bulk_read(data, True, block) == line_parse(parse_volume, data)
 
 
 def streamed_read(data, block, tall):
@@ -203,9 +211,13 @@ def test_kernels_on_the_file_text_equal_the_matrix_kernels(m):
 
 
 @PROPERTY
-@given(dense_volumes(max_dim=9))
-def test_max_cube_on_the_file_text_equals_max_cube(v):
-    assert max_cube_text(read_grid(serialize_volume(v).encode(), layers=True)) == max_cube(v)
+@given(dense_volumes(max_dim=9), st.sampled_from([1, 4, 9]))
+def test_max_cube_on_the_file_text_equals_max_cube(v, block):
+    # layers cut into blocks of a few lines give the side of the one-block read
+    want = max_cube(v)
+    with mock.patch.object(core, "BLOCK", block):
+        blocks, cols, _ = read_lines(io.BytesIO(serialize_volume(v).encode()), layers=True)
+        assert max_cube_lines(blocks, cols) == want
 
 
 @PROPERTY
