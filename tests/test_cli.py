@@ -851,9 +851,9 @@ def layers_of_ones(depth, rows, cols=2):
 # is malformed as only a volume can be; with blocks of three lines, layers of
 # two, three and four rows end before, at and after a block boundary
 VOLUME_KINDS = {
-    "short-layer": lambda rows: layers_of_ones(3, rows)[:1] + [b"11\n" * (rows - 1)]
+    "short-layer": lambda rows: layers_of_ones(1, rows) + [b"11\n" * (rows - 1)]
                                 + layers_of_ones(1, rows),
-    "long-layer": lambda rows: layers_of_ones(3, rows)[:1] + [b"11\n" * (rows + 1)]
+    "long-layer": lambda rows: layers_of_ones(1, rows) + [b"11\n" * (rows + 1)]
                                + layers_of_ones(1, rows),
     "wide-layer": lambda rows: layers_of_ones(1, rows) + layers_of_ones(1, rows, 3)
                                + layers_of_ones(1, rows),
@@ -941,7 +941,7 @@ VOLUME_OF_ONES = b"\n".join([b"11\n11\n"] * 300)
                               "none"])
 def test_a_bad_last_line_fails_after_the_cube_sweep_stops(tmp_path, tail):
     # side 2 is the sweep's limit, reached on layer 2; from a file or a pipe,
-    # in blocks of a layer or of one line, no layer is packed after it, yet
+    # in whole layers or a line at a time, no layer is packed after it, yet
     # the last line is read
     data = VOLUME_OF_ONES + tail
     path = tmp_path / "v.txt"
