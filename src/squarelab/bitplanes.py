@@ -192,15 +192,21 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResu
     of whole lines at a time, sweeping its shorter axis.  A square's side is
     the same on the transpose, so the answer is freq_bits' either way.
 
-    `rows`, the number of lines or an estimate, -1 when unknown, only picks
-    the axis.  When it is at most cols, each block's rows are swept as it
-    comes, so the sweep holds a block and O(cols log rows) bits of counter
-    planes; once the side reaches cols no row is packed, but every block is
-    still read.  Above cols, each block is folded into one int per column
+    `rows`, the number of lines or an estimate, only picks the axis; when
+    it is -1, unknown (a pipe), the first block's lines stand in for it, so
+    a tall matrix whose first block holds more lines than cols is folded.
+    When it is at most cols, each block's rows are swept as it comes, so the
+    sweep holds a block and O(cols log rows) bits of counter planes; once
+    the side reaches cols no row is packed, but every block is still read.
+    Above cols, each block is folded into one int per column
     (`fold_columns`), and the columns, one bit per cell, are swept at the
     end.  A block is let go before the next is read.
     """
     blocks, stride = iter(blocks), cols + 1
+    if rows < 0:
+        first = next(blocks, b"")
+        rows, blocks = len(first) // stride, chain([first], blocks)
+        del first
     if rows > cols:
         columns, rows = [0] * cols, 0
         for block in blocks:

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from stat import S_IMODE, S_ISREG
 from typing import BinaryIO, ContextManager
 
-from .core import GridText, MatrixParseError, PlotTarget, read_lines
+from .core import MatrixParseError, PlotTarget, read_lines
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -149,15 +149,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
             result = freq_bits_lines(blocks, cols, rows)
         else:
-            text = b"".join(blocks)
-            rows = len(text) // (cols + 1)
-            if args.algo == "dp2d" and rows * cols > DP2D_CELL_CAP:
-                raise ValueError(
-                    f"{rows}x{cols} = {rows * cols} cells exceeds dp2d cap {DP2D_CELL_CAP}")
             from . import squares
             from .grid import BinaryMatrix
 
-            m = BinaryMatrix.from_text(GridText(text, 1, rows, cols))
+            m = BinaryMatrix.from_lines(blocks, cols)
+            if args.algo == "dp2d" and m.rows * cols > DP2D_CELL_CAP:
+                raise ValueError(
+                    f"{m.rows}x{cols} = {m.rows * cols} cells exceeds dp2d cap {DP2D_CELL_CAP}")
             result = getattr(squares, SOLVE_ALGOS[args.algo])(m)
     print(f"side={result.side} area={result.area}")
     return 0
@@ -196,13 +194,10 @@ def _cmd_cube(args: argparse.Namespace) -> int:
 
             result = max_cube_lines(blocks, cols)
         else:
-            text = b"".join(blocks)  # the blank lines between layers included
-            depth = text.count(b"\n\n") + 1 if text else 0
-            rows = len(text) // max(depth, 1) // (cols + 1)
             from .cubes import brute_force_cube
             from .grid import BinaryVolume
 
-            result = brute_force_cube(BinaryVolume.from_text(GridText(text, depth, rows, cols)))
+            result = brute_force_cube(BinaryVolume.from_lines(blocks, cols))
     print(f"side={result.side}")
     return 0
 

@@ -4,9 +4,10 @@ the result types, the error types and the reader.
 One reader reads every grid file, `read_lines`: a matrix, or a volume, a
 block of whole lines at a time, each block checked as it arrives by
 `_is_lines` with a few whole-buffer operations, so no command holds the
-whole text.  The kernels sweep or pack each block as it comes, and the
-reference algorithms join the blocks into one GridText.  This module knows
-a grid only as that text: the 0/1 cell types, and the conversions between
+whole text.  That is the one check of a file's bytes.  The kernels sweep or
+pack each block as it comes, and the reference algorithms translate each
+block into cells (`from_lines` in `grid`).  This module knows a grid only
+as the lines of its file: the 0/1 cell types, and the conversions between
 them and the text, are in `grid`, which this module imports only when a
 file fails the check, for the line parser that names the line it fails
 on.  So `solve`, `rect` and `cube` with their default kernels never import
@@ -15,8 +16,10 @@ the source they run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`
-loads `inspect`.  `PlotTarget`, the oracle cap and its error are here so
-that `cli` can use them without loading `bench`, `squares` or `grid`.
+loads `inspect`.  `PlotTarget` is here so that `cli` builds its parser
+without loading `bench`.  The oracle cap, which `squares` and `verify`
+read, and its error, which `squares` and `cubes` raise, are here beside the
+other error types, so that `cube --algo brute` loads no `squares`.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import BinaryIO, Iterator
 # the largest input, in cells, the brute-force square oracle accepts
 ORACLE_CELL_CAP = 10_000
 
-# about the bytes of whole lines checked at a time: a block `read_lines`
-# reads, or a slice of the text GridText checks; the check deletes the cells
-# from a piece of it at a time, so the copies it makes stay small next to it
+# about the bytes of whole lines `read_lines` reads and checks at a time; the
+# check deletes the cells from a piece of a block at a time, so the copies
+# it makes stay small next to the block
 BLOCK = 1 << 16
 _PIECE = 1 << 13
 
@@ -166,46 +169,6 @@ def _is_lines(block: bytes, stride: int) -> bool:
 def _block_size(stride: int) -> int:
     # the bytes of the whole lines, `stride` bytes each, that make a block
     return max(BLOCK // stride, 1) * stride
-
-
-def _is_grid_text(text: bytes, depth: int, rows: int, cols: int) -> bool:
-    # whether text is depth layers of rows lines of cols '0'/'1' cells, each
-    # line ending in a newline and the layers joined by one blank line; each
-    # layer's lines are checked a block at a time, as `solve` reads a file,
-    # so no copy the size of the text is made
-    stride = cols + 1
-    pitch, size = rows * stride + 1, _block_size(stride)
-    return (min(depth, rows, cols) >= 0 and len(text) == max(depth * pitch - 1, 0)
-            and text[pitch - 1::pitch] == b"\n" * (depth - 1)
-            and all(_is_lines(text[i:min(i + size, layer + pitch - 1)], stride)
-                    for layer in range(0, depth * pitch, pitch)
-                    for i in range(layer, layer + pitch - 1, size)))
-
-
-class GridText(_Record):
-    """A grid in its file format, as bytes: depth layers of rows lines of
-    cols '0'/'1' cells, each line ending in a newline, the layers joined by
-    one blank line.  A matrix is one layer.
-
-    `__new__` checks the whole text, each layer's lines a block at a time,
-    so every slice the packers in `bitplanes` hand to int(.., 2), which
-    would also take whitespace, '_' or a sign, is '0'/'1' digits.  A grid
-    with no cells is the empty volume (0x0x0) or a matrix with no columns
-    (rows x 0, its text one newline per row), as BinaryMatrix and
-    BinaryVolume have it.
-    """
-
-    __slots__ = ()
-    text: bytes
-    depth: int
-    rows: int
-    cols: int
-
-    def __new__(cls, text: bytes, depth: int, rows: int, cols: int) -> GridText:
-        no_cells_ok = cols == 0 and (depth == 1 or depth == rows == 0)
-        if not (depth * rows * cols or no_cells_ok) or not _is_grid_text(text, depth, rows, cols):
-            raise ValueError(f"text is not a {depth}x{rows}x{cols} grid of '0'/'1' cells")
-        return tuple.__new__(cls, (text, depth, rows, cols))
 
 
 def read_lines(stream: BinaryIO, layers: bool = False) -> tuple[Iterator[bytes], int, int]:

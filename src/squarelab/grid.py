@@ -6,22 +6,23 @@ characters per row, with volumes separating layers by exactly one blank line.
 All types are immutable after construction.
 
 BinaryMatrix and BinaryVolume, the cell values the library solvers take,
-hold the one codec between a grid and its file text (`core.GridText`):
-`from_text`, and `to_text`, which for both types is `_text_of`.  Files are
-read a block of lines at a time by `core.read_lines`, which imports this
-module only for what its check rejects: the line parsers here report it,
-naming the line, from the line and layer the failing block starts in
-(`_parse_rows` under `parse_matrix`, `_parse_layers` under `parse_volume`).
-The value base, the error types, the text type and the reader are in `core`.
+hold the one codec between a grid and its file text: `from_lines`, which
+takes the checked blocks of whole lines `core.read_lines` reads, and
+`to_text`, the file's bytes, which for both types is `_text_of`.
+`read_lines` imports this module only for what its check rejects: the line
+parsers here report it, naming the line, from the line and layer the
+failing block starts in (`_parse_rows` under `parse_matrix`,
+`_parse_layers` under `parse_volume`).  The value base, the error types and
+the reader are in `core`.
 """
 
 from __future__ import annotations
 
 import random
 from enum import Enum
+from typing import Iterable
 
 from .core import (
-    GridText,
     InvalidCharError,
     LayerShapeMismatchError,
     MatrixParseError,
@@ -81,10 +82,18 @@ class BinaryMatrix(_Record):
         return [list(self.row(i)) for i in range(self.rows)]
 
     @classmethod
-    def from_text(cls, t: GridText) -> BinaryMatrix:
-        return cls(t.rows, t.cols, t.text.translate(_TO_BITS, b"\n"))
+    def from_lines(cls, blocks: Iterable[bytes], cols: int) -> BinaryMatrix:
+        """The matrix of a file's lines of `cols` cells, given a block of
+        whole lines at a time as `core.read_lines` reads and checks them.
+        Each block is translated to cells as it comes; each line is a row,
+        so the text of an r x 0 matrix, a newline per row, reads back."""
+        size, cells = 0, []
+        for block in blocks:
+            size += len(block)
+            cells.append(block.translate(_TO_BITS, b"\n"))
+        return cls(size // (cols + 1), cols, b"".join(cells))
 
-    def to_text(self) -> GridText:
+    def to_text(self) -> bytes:
         return _text_of(self.cells, 1, self.rows, self.cols)
 
     def ones(self) -> int:
@@ -144,10 +153,23 @@ class BinaryVolume(_Record):
         return BinaryMatrix(self.rows, self.cols, self.cells[d * size:(d + 1) * size])
 
     @classmethod
-    def from_text(cls, t: GridText) -> BinaryVolume:
-        return cls(t.depth, t.rows, t.cols, t.text.translate(_TO_BITS, b"\n"))
+    def from_lines(cls, blocks: Iterable[bytes], cols: int) -> BinaryVolume:
+        """The volume of a file's lines of `cols` cells, given as
+        `core.read_lines` reads a volume: each blank line between layers a
+        block of its own, and the other blocks whole lines, each translated
+        to cells as it comes.  The blank lines give the depth, and the lines
+        over the depth the rows."""
+        depth, lines, cells = 1, 0, []
+        for block in blocks:
+            if block == b"\n":
+                depth += 1
+            else:
+                lines += len(block) // (cols + 1)
+                cells.append(block.translate(_TO_BITS, b"\n"))
+        depth = depth if lines else 0
+        return cls(depth, lines // max(depth, 1), cols, b"".join(cells))
 
-    def to_text(self) -> GridText:
+    def to_text(self) -> bytes:
         return _text_of(self.cells, self.depth, self.rows, self.cols)
 
 
@@ -249,7 +271,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
 def serialize_matrix(grid: BinaryMatrix | BinaryVolume) -> str:
     """Inverse of parse_matrix and parse_volume: one '\\n'-terminated line
     per row, a volume's layers joined by one blank line."""
-    return grid.to_text().text.decode("ascii")
+    return grid.to_text().decode("ascii")
 
 
 # one codec: a matrix's text is a one-layer volume's
@@ -292,13 +314,12 @@ def _parse_layers(lines: list[str], first: int, layer: int, had: int,
     return layers
 
 
-def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> GridText:
+def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> bytes:
     """The file text of `depth` layers of rows x cols 0/1 cells.
 
     One slice copy per line of the stacked depth * rows lines, or per
     column, whichever there are fewer of, so no loop runs once per cell;
-    then the layers are joined by one blank line each.  The cells are 0/1
-    already, so the text needs no second check.
+    then the layers are joined by one blank line each.
     """
     cells, lines, stride = cells.translate(_TO_TEXT), depth * rows, cols + 1
     body = bytearray(b"\n") * (lines * stride)
@@ -309,8 +330,7 @@ def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> GridText:
         for j in range(cols):
             body[j::stride] = cells[j::cols]
     view, size = memoryview(body), rows * stride
-    text = b"\n".join([view[d * size:(d + 1) * size] for d in range(depth)])
-    return tuple.__new__(GridText, (text, depth, rows, cols))
+    return b"\n".join([view[d * size:(d + 1) * size] for d in range(depth)])
 
 
 def _random_cells(spec: GenSpec) -> bytes:

@@ -85,7 +85,7 @@ def maximal_rectangle(m: BinaryMatrix) -> RectResult:
     the first strictly larger area.  The grid's text is packed as one
     block into one board, as `rect` packs a file's, and `_walk` finds the
     rectangle on it."""
-    return maximal_rectangle_lines([m.to_text().text], m.cols)
+    return maximal_rectangle_lines([m.to_text()], m.cols)
 
 
 def maximal_rectangle_lines(blocks: Iterable[bytes], cols: int) -> RectResult:

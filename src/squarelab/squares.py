@@ -13,8 +13,8 @@ claims are testable rather than taken on faith.
 `solve` reads its input a block of lines at a time with `core.read_lines`.
 By default it runs neither this module nor `grid`: it runs
 `bitplanes.freq_bits_lines` on the blocks as they are read and returns a
-SquareResult, defined in `core`.  Its other `--algo` choices join the
-blocks and run a solver here on the BinaryMatrix of that text.
+SquareResult, defined in `core`.  Its other `--algo` choices run a solver
+here on the BinaryMatrix the blocks make (`BinaryMatrix.from_lines`).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     `solve` runs on its input a block of lines at a time, sweeps the
     shorter axis instead.
     """
-    best, planes = sweep(line_rows(m.to_text().text, m.cols), (1,), min(m.rows, m.cols))
+    best, planes = sweep(line_rows(m.to_text(), m.cols), (1,), min(m.rows, m.cols))
     if audit is not None:
         audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)

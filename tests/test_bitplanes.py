@@ -16,7 +16,7 @@ from squarelab.bitplanes import (
     sweep,
 )
 from squarelab.cli import main
-from squarelab.core import GridText, _block_size, read_lines
+from squarelab.core import _block_size, read_lines
 from squarelab.grid import (
     EMPTY_MATRIX,
     EMPTY_VOLUME,
@@ -49,18 +49,18 @@ def mask_of(columns, cols):
 
 
 def rows_of(m):
-    return list(line_rows(m.to_text().text, m.cols))
+    return list(line_rows(m.to_text(), m.cols))
 
 
 def columns_of(m):
     columns = [0] * m.cols
-    fold_columns(columns, m.to_text().text)
+    fold_columns(columns, m.to_text())
     return columns
 
 
 def text_board(t):
     """A matrix's text as its board: each newline a guard bit, row 0 on top."""
-    return int(t.text.translate(bytes.maketrans(b"\n", b"0")), 2) if t.text else 0
+    return int(t.translate(bytes.maketrans(b"\n", b"0")), 2) if t else 0
 
 
 def layer_boards_of(text):
@@ -71,7 +71,7 @@ def layer_boards_of(text):
 
 
 def layers_of(v):
-    return [board for board, _ in layer_boards_of(v.to_text().text)]
+    return [board for board, _ in layer_boards_of(v.to_text())]
 
 
 def peak_allocated(f, *args):
@@ -116,8 +116,8 @@ def test_text_board_reads_each_newline_as_a_guard_bit(cols):
     for rows in (1, 7, 8, 9, 17):
         m = generate_matrix(GenSpec(rows, cols, 0.7, cols)) if cols else BinaryMatrix(rows, 0, b"")
         t = m.to_text()
-        assert lines_board([t.text], cols) == (text_board(t), rows)
-    assert lines_board([EMPTY_MATRIX.to_text().text], 0) == (0, 0)
+        assert lines_board([t], cols) == (text_board(t), rows)
+    assert lines_board([EMPTY_MATRIX.to_text()], 0) == (0, 0)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 16, 65])
@@ -129,7 +129,7 @@ def test_lines_board_packs_blocks_as_text_layers_packs_the_text(cols):
         want = text_board(t)
         for lines in range(1, 10):
             size = lines * (cols + 1)
-            blocks = [t.text[i:i + size] for i in range(0, len(t.text), size)]
+            blocks = [t[i:i + size] for i in range(0, len(t), size)]
             assert lines_board(blocks, cols) == (want, rows), (rows, lines)
     assert lines_board([], 0) == (0, 0)
 
@@ -141,21 +141,23 @@ def test_lines_board_packs_blocks_as_text_layers_packs_the_text(cols):
 @pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (250, 4000)])
 def test_text_board_makes_no_copy_of_the_text(rows, cols):
     t = generate_matrix(GenSpec(rows, cols, 0.5, rows)).to_text()
-    assert peak_allocated(lambda t: lines_board([t.text], t.cols), t) < len(t.text) // 2
+    assert peak_allocated(lambda t: lines_board([t], cols), t) < len(t) // 2
 
 
-# the check runs over the text a block of whole lines at a time, so a
-# library call, or `solve --algo brute`, holds no second copy of it
+# the reader checks a grid's text a block of whole lines at a time, and
+# that is its one check, so it holds a block or three, never a copy of the
+# text or of a layer
 @pytest.mark.parametrize("depth, rows, cols", [(1, 1000, 1000), (1, 4000, 250), (4, 250, 1000)])
 def test_grid_text_check_makes_no_copy_of_the_text(depth, rows, cols):
     t = generate_volume(GenSpec(rows, cols, 0.5, rows, depth=depth)).to_text()
-    assert peak_allocated(lambda fields: GridText(*fields), t) < len(t.text) // 8
+    stream = io.BytesIO(t)
+    assert peak_allocated(lambda: all(read_lines(stream, layers=True)[0])) < len(t) // 4
 
 
 # a volume's text read as `cube` reads a file, a block at a time
 def test_layer_boards_make_no_copy_of_a_layer():
     t = generate_volume(GenSpec(1500, 1500, 0.5, 1, depth=1)).to_text()
-    assert peak_allocated(layer_boards_of, t.text) < len(t.text) // 2
+    assert peak_allocated(layer_boards_of, t) < len(t) // 2
 
 
 # `solve` holds a block of the file at a time: on a matrix no taller than it
@@ -168,14 +170,14 @@ def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, co
     m = generate_matrix(GenSpec(rows, cols, 0.9, rows))
     t = m.to_text()
     path, empty = tmp_path / "m.txt", tmp_path / "empty.txt"
-    path.write_bytes(t.text)
+    path.write_bytes(t)
     empty.write_bytes(b"")
     main(["solve", str(path)])  # loads what a run loads
     added = (peak_allocated(main, ["solve", str(path)])
              - peak_allocated(main, ["solve", str(empty)]))
     assert capsys.readouterr().err == ""
     if rows <= cols:
-        assert added < len(t.text) // 4
+        assert added < len(t) // 4
     else:
         columns = sum(map(sys.getsizeof, columns_of(m)))
         assert added < columns + 2 * _block_size(cols + 1)
@@ -189,13 +191,13 @@ def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, co
 def test_rect_holds_its_board_not_the_file(tmp_path, capsys, rows, cols):
     t = generate_matrix(GenSpec(rows, cols, 0.9, rows)).to_text()
     path, empty = tmp_path / "m.txt", tmp_path / "empty.txt"
-    path.write_bytes(t.text)
+    path.write_bytes(t)
     empty.write_bytes(b"")
     main(["rect", str(path)])  # loads what a run loads
     added = (peak_allocated(main, ["rect", str(path)])
              - peak_allocated(main, ["rect", str(empty)]))
     assert capsys.readouterr().err == ""
-    board = sys.getsizeof(lines_board([t.text], cols)[0])
+    board = sys.getsizeof(lines_board([t], cols)[0])
     assert added < 5 * board + 2 * _block_size(cols + 1)
 
 
@@ -209,13 +211,13 @@ def test_rect_holds_its_board_not_the_file(tmp_path, capsys, rows, cols):
 def test_cube_holds_a_layer_board_not_the_file(tmp_path, capsys, depth, rows, cols):
     t = generate_volume(GenSpec(rows, cols, 0.9, rows, depth=depth)).to_text()
     path, empty = tmp_path / "v.txt", tmp_path / "empty.txt"
-    path.write_bytes(t.text)
+    path.write_bytes(t)
     empty.write_bytes(b"")
     main(["cube", str(path)])  # loads what a run loads
     added = (peak_allocated(main, ["cube", str(path)])
              - peak_allocated(main, ["cube", str(empty)]))
     assert capsys.readouterr().err == ""
-    board = sys.getsizeof(layer_boards_of(t.text)[0][0])
+    board = sys.getsizeof(layer_boards_of(t)[0][0])
     assert added < 8 * board + 2 * _block_size(cols + 1)
 
 

@@ -17,7 +17,7 @@ from squarelab.bench import BenchConfig, plot_selection
 from squarelab.cli import main
 from squarelab.core import MatrixParseError, RectResult, SquareResult
 from squarelab.cubes import max_cube
-from squarelab.grid import GenSpec, generate_matrix, parse_matrix, parse_volume
+from squarelab.grid import GenSpec, generate_matrix, generate_volume, parse_matrix, parse_volume
 from squarelab.histogram import build_histograms, largest_rect_in_histogram
 
 
@@ -999,17 +999,42 @@ def test_the_row_sweep_stops_packing_at_its_limit_and_reads_on(capsys, monkeypat
 
 def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeypatch):
     # a file's size gives its rows, so it is folded into columns; a pipe has
-    # no size, so its rows are swept
-    monkeypatch.setattr(core, "BLOCK", 64)
+    # no size, so it is folded when its first block holds more lines than
+    # cols (eight lines of seven cells at 64 bytes a block), and its rows are
+    # swept when that block holds no more (seven lines at 56 bytes)
     folded = []
     fold_columns = bitplanes.fold_columns
     monkeypatch.setattr(bitplanes, "fold_columns",
                         lambda columns, block: folded.append(block) or fold_columns(columns, block))
-    for seed in range(4):
-        m = generate_matrix(GenSpec(2000, 7, 0.95, seed))
-        data = m.to_text().text
-        for source in SOURCES:
-            folded.clear()
-            assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == \
-                line_parser_says(data)
-            assert b"".join(folded) == (b"" if source == "pipe" else data)
+    for block in 64, 56:
+        monkeypatch.setattr(core, "BLOCK", block)
+        for seed in range(4):
+            m = generate_matrix(GenSpec(2000, 7, 0.95, seed))
+            data = m.to_text()
+            for source in SOURCES:
+                folded.clear()
+                assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == \
+                    line_parser_says(data)
+                swept = source == "pipe" and block == 56
+                assert b"".join(folded) == (b"" if swept else data), (block, source)
+
+
+# the reader's check is the one check of a file's bytes: every command, and
+# every --algo, hands each line of cells to `core._is_lines` once, so the
+# bytes checked are the file's, less the blank lines between layers
+@pytest.mark.parametrize("source", SOURCES)
+def test_each_line_of_a_file_is_checked_once(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(core, "BLOCK", 64)  # a few lines a block
+    checked, is_lines = [], core._is_lines
+    monkeypatch.setattr(core, "_is_lines",
+                        lambda block, stride: checked.append(len(block)) or is_lines(block, stride))
+    matrix = generate_matrix(GenSpec(40, 9, 0.9, 1)).to_text()
+    volume = generate_volume(GenSpec(5, 6, 0.9, 1, depth=4)).to_text()
+    runs = [*((matrix, ["solve", "--algo", algo]) for algo in cli.SOLVE_ALGOS),
+            (matrix, ["rect"]),
+            *((volume, ["cube", "--algo", algo]) for algo in ("freq", "brute"))]
+    for data, command in runs:
+        checked.clear()
+        code, _, err = run_from(capsys, monkeypatch, tmp_path, source, data, *command)
+        assert (code, err) == (0, "")
+        assert sum(checked) == len(data) - data.count(b"\n\n"), command

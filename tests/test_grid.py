@@ -13,7 +13,6 @@ from squarelab import core
 from squarelab.bitplanes import max_cube_lines
 from squarelab.core import (
     CubeResult,
-    GridText,
     InvalidCharError,
     LayerShapeMismatchError,
     RaggedRowsError,
@@ -358,12 +357,23 @@ def read_blocks(data, layers, block):
         return list(blocks), cols
 
 
+def read_grid(data, layers, block=core.BLOCK):
+    """The matrix, or volume (`layers`), `from_lines` makes of the blocks
+    `read_lines` reads from data, as `solve --algo freq` and `cube --algo
+    brute` read a file; None when either rejects it."""
+    try:
+        blocks, cols = read_blocks(data, layers, block)
+        return (BinaryVolume if layers else BinaryMatrix).from_lines(blocks, cols)
+    except ValueError:
+        return None
+
+
 def test_read_lines_reads_a_matrix_file_a_block_at_a_time():
     data = b"110\n011\n"
     assert read_blocks(data, False, core.BLOCK) == ([data], 3)
     assert read_blocks(data, False, 4) == ([b"110\n", b"011\n"], 3)
-    t = GridText(data, 1, 2, 3)
-    assert BinaryMatrix.from_text(t) == parse_matrix(data.decode())
+    for block in core.BLOCK, 4:
+        assert read_grid(data, False, block) == parse_matrix(data.decode())
     # a missing final newline is added; the lines are the same
     for block in core.BLOCK, 4:
         assert read_blocks(b"110\n011", False, block) == read_blocks(data, False, block)
@@ -380,8 +390,7 @@ def test_read_lines_reads_a_volume_file_a_layer_at_a_time():
     assert read_blocks(data, True, 3) == (lines, 2)
     for block in core.BLOCK, 6, 3:
         assert read_blocks(data[:-1], True, block) == read_blocks(data, True, block)
-    t = GridText(data, 3, 2, 2)
-    assert BinaryVolume.from_text(t) == parse_volume(data.decode())
+        assert read_grid(data, True, block) == parse_volume(data.decode())
     assert read_blocks(b"1\n", True, core.BLOCK) == ([b"1\n"], 1)
 
 
@@ -389,27 +398,29 @@ def test_empty_file_is_the_empty_grid():
     # no blocks, of no width, which `solve` and `cube` read as the empty grid
     for layers in False, True:
         assert read_blocks(b"", layers, core.BLOCK) == ([], 0)
-    assert EMPTY_MATRIX.to_text() == (b"", 1, 0, 0)
-    assert BinaryMatrix.from_text(GridText(b"", 1, 0, 0)) == EMPTY_MATRIX
-    assert EMPTY_VOLUME.to_text() == (b"", 0, 0, 0)
-    assert BinaryVolume.from_text(GridText(b"", 0, 0, 0)) == EMPTY_VOLUME
+    assert EMPTY_MATRIX.to_text() == b""
+    assert BinaryMatrix.from_lines([], 0) == EMPTY_MATRIX
+    assert EMPTY_VOLUME.to_text() == b""
+    assert BinaryVolume.from_lines([], 0) == EMPTY_VOLUME
     assert max_cube_lines(iter([]), 0) == CubeResult(0, 0)
 
 
-# a matrix's text is a grid text of one layer
+# texts that are not a matrix of the shape given, each rejected by the
+# reader or read as a matrix of another shape, or with another file
 @pytest.mark.parametrize("fields", [
     (b" 1\n11\n", 1, 2, 2),  # int(b" 1", 2) would read it
     (b"1_\n11\n", 1, 2, 2),
     (b"+1\n11\n", 1, 2, 2),
-    (b"11\n11", 1, 2, 2),
+    (b"11\n11", 1, 2, 2),  # read with the last line's newline added
     (b"111\n1\n", 1, 2, 2),
     (b"11\n11\n", 1, 1, 2),
     (b"", 1, -1, 0),
     (b"", 1, 0, 5),  # no rows, yet columns
 ])
 def test_matrix_text_checks_its_text(fields):
-    with pytest.raises(ValueError):
-        GridText(*fields)
+    text, _, rows, cols = fields
+    m = read_grid(text, False)
+    assert m is None or (m.rows, m.cols) != (rows, cols) or m.to_text() != text
 
 
 @pytest.mark.parametrize("fields", [
@@ -423,21 +434,9 @@ def test_matrix_text_checks_its_text(fields):
     (b"", 0, 3, 3),  # no layers, yet rows and columns
 ])
 def test_volume_text_checks_its_text(fields):
-    with pytest.raises(ValueError):
-        GridText(*fields)
-
-
-def test_grid_text_rebuilds_through_the_check():
-    for t in GridText(b"10\n01\n", 1, 2, 2), GridText(b"10\n01\n\n11\n11\n", 2, 2, 2):
-        assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
-        rebuild, args = t.__reduce_ex__(2)[:2]
-        assert rebuild is copyreg.__newobj__ and args == (type(t), *t)
-    # the arguments go through __new__'s check, so a text that is not the
-    # shape it claims does not unpickle
-    with pytest.raises(ValueError, match="not a 1x2x2 grid"):
-        copyreg.__newobj__(GridText, b"10\n0x\n", 1, 2, 2)
-    with pytest.raises(ValueError, match="not a 2x2x2 grid"):
-        copyreg.__newobj__(GridText, b"10\n01\n\n11\n1\n\n", 2, 2, 2)
+    text, *shape = fields
+    v = read_grid(text, True)
+    assert v is None or [v.depth, v.rows, v.cols] != shape or v.to_text() != text
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4)])
@@ -445,20 +444,20 @@ def test_grid_text_of_a_grid_is_its_file(rows, cols):
     m = (BinaryMatrix(rows, cols, b"") if not rows * cols
          else generate_matrix(GenSpec(rows, cols, 0.5, 3)))
     t = m.to_text()
-    assert t.text == serialize_matrix(m).encode() and BinaryMatrix.from_text(t) == m
-    assert GridText(*t) == t
+    assert t == serialize_matrix(m).encode() and BinaryMatrix.from_lines([t], cols) == m
     if rows * cols:
         v = generate_volume(GenSpec(rows, cols, 0.5, 3, depth=3))
         vt = v.to_text()
-        assert vt.text == serialize_volume(v).encode() and BinaryVolume.from_text(vt) == v
-        assert GridText(*vt) == vt
-    assert EMPTY_VOLUME.to_text() == (b"", 0, 0, 0)
+        assert vt == serialize_volume(v).encode() and read_grid(vt, True) == v
+    assert EMPTY_VOLUME.to_text() == b""
 
 
 def test_grid_text_has_no_cells_only_where_a_grid_has_none():
-    # a text is accepted for exactly the shapes BinaryMatrix (one layer) or
-    # BinaryVolume accepts: among those with no cells, the 0x0x0 volume and
-    # the r x 0 matrices, whose text is a newline per row
+    # a text reads back as the grid of its shape for exactly the shapes
+    # BinaryMatrix (one layer) or BinaryVolume accepts: among those with no
+    # cells, the 0x0x0 volume and the r x 0 matrices, whose text is a
+    # newline per row, given as one block, since the reader rejects a blank
+    # line in a file
     def accepts(make, *fields):
         try:
             return make(*fields)
@@ -468,8 +467,13 @@ def test_grid_text_has_no_cells_only_where_a_grid_has_none():
     for depth, rows, cols in itertools.product(range(3), range(4), range(4)):
         text = b"\n".join([(b"1" * cols + b"\n") * rows] * depth)
         cells = b"\x01" * (depth * rows * cols)
-        grid = (depth == 1 and accepts(BinaryMatrix, rows, cols, cells)
-                or accepts(BinaryVolume, depth, rows, cols, cells))
-        t = accepts(GridText, text, depth, rows, cols)
-        assert (t is None) == (grid is None), (depth, rows, cols)
-        assert grid is None or grid.to_text() == t
+        if depth == 1:
+            grid = accepts(BinaryMatrix, rows, cols, cells)
+            read = accepts(BinaryMatrix.from_lines, [text], cols)
+            shape = read and (1, read.rows, read.cols)
+        else:
+            grid = accepts(BinaryVolume, depth, rows, cols, cells)
+            read = read_grid(text, True)
+            shape = read and (read.depth, read.rows, read.cols)
+        assert (shape == (depth, rows, cols)) == (grid is not None), (depth, rows, cols)
+        assert grid is None or read.to_text() == grid.to_text() == text

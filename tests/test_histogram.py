@@ -254,7 +254,7 @@ def staircase(n):
 def test_heights_read_off_the_board_are_the_rows_histograms(m):
     # every row's histogram, read up from it a group of eight rows at a
     # time, so groups end above, on and below a multiple of eight
-    board = lines_board([m.to_text().text], m.cols)[0]
+    board = lines_board([m.to_text()], m.cols)[0]
     for first, heights in enumerate(build_histograms(m)):
         read = histogram._heights(board, m.rows, m.cols, first)
         assert read == heights, first

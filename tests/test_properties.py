@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from squarelab.bench import TABLES, BenchRecord, render_table
 from squarelab import core
 from squarelab.bitplanes import freq_bits_lines, max_cube_lines
-from squarelab.core import GridText, MatrixParseError, RectResult, read_lines
+from squarelab.core import MatrixParseError, RectResult, read_lines
 from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
 from squarelab.grid import (
     BinaryMatrix,
@@ -101,19 +101,15 @@ def line_parse(parse, data):
 
 def bulk_read(data, layers, block):
     """The grid `read_lines` reads from data in blocks of `block` bytes of
-    whole lines, each checked in bulk, joined as `solve --algo freq` and
-    `cube --algo brute` join them, or its error's line and message."""
+    whole lines, each checked in bulk, made into cells as `solve --algo
+    freq` and `cube --algo brute` make them, or its error's line and
+    message."""
     try:
         with mock.patch.object(core, "BLOCK", block):
             blocks, cols, _ = read_lines(io.BytesIO(data), layers)
-            text = b"".join(blocks)
+            return (BinaryVolume if layers else BinaryMatrix).from_lines(blocks, cols)
     except MatrixParseError as exc:
         return exc.line, str(exc)
-    if not layers:
-        return BinaryMatrix.from_text(GridText(text, 1, len(text) // (cols + 1), cols))
-    depth = text.count(b"\n\n") + 1 if text else 0
-    rows = len(text) // max(depth, 1) // (cols + 1)
-    return BinaryVolume.from_text(GridText(text, depth, rows, cols))
 
 
 @PROPERTY
