@@ -405,38 +405,48 @@ def test_empty_file_is_the_empty_grid():
     assert max_cube_lines(iter([]), 0) == CubeResult(0, 0)
 
 
-# texts that are not a matrix of the shape given, each rejected by the
-# reader or read as a matrix of another shape, or with another file
+def read_shape(data, layers):
+    """The shape of the grid `read_grid` reads from data, or the line the
+    reader's error names."""
+    try:
+        blocks, cols = read_blocks(data, layers, core.BLOCK)
+        return (BinaryVolume if layers else BinaryMatrix).from_lines(blocks, cols)[:-1]
+    except core.MatrixParseError as exc:
+        return exc.line
+
+
+# texts that are no matrix of the shape given: the reader rejects each at
+# the line given, or reads it as the shape given last, another shape or
+# the same one with the last line's newline added
 @pytest.mark.parametrize("fields", [
-    (b" 1\n11\n", 1, 2, 2),  # int(b" 1", 2) would read it
-    (b"1_\n11\n", 1, 2, 2),
-    (b"+1\n11\n", 1, 2, 2),
-    (b"11\n11", 1, 2, 2),  # read with the last line's newline added
-    (b"111\n1\n", 1, 2, 2),
-    (b"11\n11\n", 1, 1, 2),
-    (b"", 1, -1, 0),
-    (b"", 1, 0, 5),  # no rows, yet columns
+    (b" 1\n11\n", (2, 2), 1),  # int(b" 1", 2) would read it
+    (b"1_\n11\n", (2, 2), 1),
+    (b"+1\n11\n", (2, 2), 1),
+    (b"11\n11", (2, 2), (2, 2)),
+    (b"111\n1\n", (2, 2), 2),
+    (b"11\n11\n", (1, 2), (2, 2)),
+    (b"", (-1, 0), (0, 0)),
+    (b"", (0, 5), (0, 0)),  # no rows, yet columns
 ])
 def test_matrix_text_checks_its_text(fields):
-    text, _, rows, cols = fields
-    m = read_grid(text, False)
-    assert m is None or (m.rows, m.cols) != (rows, cols) or m.to_text() != text
+    text, shape, read = fields
+    assert read_shape(text, False) == read
+    assert read != shape or not text.endswith(b"\n")
 
 
 @pytest.mark.parametrize("fields", [
-    (b"11\n11\n\n1_\n11\n", 2, 2, 2),
-    (b"11\n11\n11\n11\n", 2, 2, 2),  # no blank line between the layers
-    (b"11\n11\n\n11\n11\n\n", 2, 2, 2),
-    (b"11\n1\n1\n", 2, 1, 2),  # a cell where the blank line goes, a newline in a row
-    (b"1\n1\n\n11\n\n", 2, 2, 1),  # the second layer's rows end off the stride
-    (b"11\n", 1, 0, 2),
-    (b"\n", 2, 0, 0),
-    (b"", 0, 3, 3),  # no layers, yet rows and columns
+    (b"11\n11\n\n1_\n11\n", (2, 2, 2), 4),
+    (b"11\n11\n11\n11\n", (2, 2, 2), (1, 4, 2)),  # no blank line between the layers
+    (b"11\n11\n\n11\n11\n\n", (2, 2, 2), 7),
+    (b"11\n1\n1\n", (2, 1, 2), 2),  # a cell where the blank line goes, a newline in a row
+    (b"1\n1\n\n11\n\n", (2, 2, 1), 5),  # the second layer's rows end off the stride
+    (b"11\n", (1, 0, 2), (1, 1, 2)),
+    (b"\n", (2, 0, 0), 1),
+    (b"", (0, 3, 3), (0, 0, 0)),  # no layers, yet rows and columns
 ])
 def test_volume_text_checks_its_text(fields):
-    text, *shape = fields
-    v = read_grid(text, True)
-    assert v is None or [v.depth, v.rows, v.cols] != shape or v.to_text() != text
+    text, shape, read = fields
+    assert read_shape(text, True) == read != shape
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4)])
