@@ -9,11 +9,12 @@ of memory, 130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from stat import S_IMODE, S_ISREG
-from typing import BinaryIO, ContextManager
+from typing import BinaryIO, ContextManager, NoReturn
 
 from .core import MatrixParseError, PlotTarget, read_lines
 
@@ -253,9 +254,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
+def entrypoint() -> NoReturn:
+    # ends the process without the interpreter's teardown of every module it
+    # loaded: the atexit handlers run, then stdout and stderr are flushed, in
+    # the interpreter's own order; a failed flush, or a profiler or tracer
+    # that reports after the run, is left to the interpreter's exit
+    code = main()
+    if sys.getprofile() is None and sys.gettrace() is None:
+        atexit._run_exitfuncs()  # and unregisters them, so none runs twice
+        with suppress(Exception):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    sys.exit(code)
 
 if __name__ == "__main__":
     entrypoint()

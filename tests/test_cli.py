@@ -1038,3 +1038,137 @@ def test_each_line_of_a_file_is_checked_once(tmp_path, capsys, monkeypatch, sour
         code, _, err = run_from(capsys, monkeypatch, tmp_path, source, data, *command)
         assert (code, err) == (0, "")
         assert sum(checked) == len(data) - data.count(b"\n\n"), command
+
+
+# `python -m squarelab` ends through cli.entrypoint, which skips the
+# interpreter's teardown; each run must still print, write and exit exactly
+# as main() under the interpreter's own exit does
+OLD_EXIT = "import sys; from squarelab.cli import main; sys.exit(main())"
+HOW_TO_RUN = {"entrypoint": ["-m", "squarelab"], "interpreter-exit": ["-c", OLD_EXIT]}
+
+# argv, with {matrix}, {volume} and {ragged} naming small files in the run's
+# directory; verify's per-section times are the one output that may differ
+EXIT_CASES = {
+    "solve": ["solve", "{matrix}"],
+    "rect": ["rect", "{matrix}"],
+    "cube": ["cube", "{volume}"],
+    "help": ["--help"],
+    "unknown-flag": ["solve", "--bogus"],
+    "ragged": ["solve", "{ragged}"],
+    "verify": ["verify", "--exhaustive-max", "2", "--random-count", "30", "--max-dim", "6"],
+}
+
+
+def fresh_env(unbuffered=""):
+    """This squarelab, with stdout buffered as a user's is unless asked, so
+    that what is left unflushed at the end of a run shows."""
+    return dict(os.environ, PYTHONPATH=str(Path(squarelab.__file__).parent.parent),
+                PYTHONUNBUFFERED=unbuffered)
+
+
+def run_each_way(tmp_path, argv, unbuffered="", **kwargs):
+    """argv run in tmp_path through each of HOW_TO_RUN, in that order."""
+    files = {"matrix": b"1101\n1111\n1111\n0110\n", "volume": b"11\n11\n\n11\n11\n",
+             "ragged": b"111\n11\n111\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.format(**{name: name for name in files}) for a in argv]
+    return [subprocess.run([sys.executable, *how, *argv], cwd=tmp_path, env=fresh_env(unbuffered),
+                           timeout=60, **kwargs)
+            for how in HOW_TO_RUN.values()]
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_the_entrypoint_exits_as_the_interpreter_did(tmp_path, case):
+    new, old = run_each_way(tmp_path, EXIT_CASES[case], capture_output=True)
+    elapsed = functools.partial(re.sub, rb"elapsed \d+\.\d+s", b"elapsed Ts")
+    assert (new.returncode, new.stdout, elapsed(new.stderr)) == \
+        (old.returncode, old.stdout, elapsed(old.stderr))
+    assert new.returncode == {"unknown-flag": 2, "ragged": 2}.get(case, 0)
+    if case == "ragged":
+        assert b"parse error (line 2)" in new.stderr
+
+
+# unbuffered, gen's write fails in main(), which prints why and returns 2,
+# and argparse drops the help it could not write; buffered, both fail only
+# in the flush at exit, which the interpreter's exit reports
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["gen", "--rows", "3", "--cols", "3", "--density", "1"],
+                                  ["--help"]], ids=["gen", "help"])
+def test_the_entrypoint_exits_as_the_interpreter_did_on_a_full_device(tmp_path, argv,
+                                                                      unbuffered):
+    with open("/dev/full", "wb") as full:
+        new, old = run_each_way(tmp_path, argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
+    assert (new.returncode, new.stderr) == (old.returncode, old.stderr)
+    gen_says = b"squarelab: [Errno 28] No space left on device\n" if argv[0] == "gen" else b""
+    if unbuffered:
+        assert (new.returncode, new.stderr) == (2 if gen_says else 0, gen_says)
+    else:
+        assert new.stderr.startswith(gen_says + b"Exception ignored")
+        assert new.stderr.endswith(b"OSError: [Errno 28] No space left on device\n")
+
+
+def test_the_entrypoint_exits_as_the_interpreter_did_when_the_reader_leaves(tmp_path):
+    argv = ["gen", "--rows", "1000", "--cols", "1000", "--density", "0.5"]
+    gone, leaves = [], []
+    for how in HOW_TO_RUN.values():
+        # a reader gone before the run starts: the first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *how, *argv], cwd=tmp_path, env=fresh_env(),
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        gone.append((proc.stderr, proc.returncode))
+        # a reader that takes one byte and closes its end while the megabyte
+        # of text is still being written into the pipe
+        proc = subprocess.Popen([sys.executable, *how, *argv], cwd=tmp_path, env=fresh_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        leaves.append((len(first), proc.stderr.read(), proc.wait(timeout=60)))
+        proc.stderr.close()
+    assert gone[0] == gone[1] == (b"", 141)
+    assert leaves[0] == leaves[1] == (1, b"", 141)
+
+
+def test_the_entrypoint_leaves_the_whole_file_it_writes(tmp_path):
+    argv = ["gen", "--rows", "300", "--cols", "200", "--density", "0.5", "--seed", "4",
+            "--out", "gen.txt"]
+    written = []
+    for how in HOW_TO_RUN.values():
+        proc = subprocess.run([sys.executable, *how, *argv], cwd=tmp_path, capture_output=True,
+                              env=fresh_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        written.append((tmp_path / "gen.txt").read_bytes())
+    assert written[0] == written[1] == generate_matrix(GenSpec(300, 200, 0.5, 4)).to_text()
+
+
+# a handler that a wrapper (coverage, a test harness) registers before the
+# module runs still runs, and what it writes is flushed with the rest
+RUN_WITH_A_HANDLER = """import atexit, runpy, sys
+atexit.register(print, "handler ran")
+atexit.register(sys.stderr.write, "handler ran")
+sys.argv = ["squarelab", *sys.argv[1:]]
+runpy.run_module("squarelab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_an_atexit_handler_registered_before_the_run_still_runs(tmp_path):
+    (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
+    proc = subprocess.run([sys.executable, "-c", RUN_WITH_A_HANDLER, "solve", "m.txt"],
+                          cwd=tmp_path, capture_output=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, b"side=2 area=4\nhandler ran\n", b"handler ran")
+
+
+# a profiler reports after the run returns, so under one the entrypoint
+# leaves the exit to the interpreter
+def test_a_profiled_run_still_reports(tmp_path):
+    (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "squarelab", "solve", "m.txt"],
+                          cwd=tmp_path, capture_output=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"side=2 area=4\n")
+    assert b"function calls" in proc.stdout

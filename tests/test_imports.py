@@ -71,21 +71,23 @@ def run_fresh(tmp_path, *argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-# runs `-m module args` or `-c code args` as the interpreter would, then
-# writes out sys.modules, so a module loaded by importlib.import_module, which
+# runs `-m module args` or `-c code args` as the interpreter would, and at
+# exit writes out sys.modules, so a module loaded by importlib.import_module, which
 # `-X importtime` does not report, is listed too; the interpreter's own
 # start-up hooks (sitecustomize, .pth files) run as in any other run
-LIST_MODULES_AFTER = """import runpy, sys
+LIST_MODULES_AFTER = """import atexit, runpy, sys
 listing, flag, target, *args = sys.argv[1:]
 sys.argv = [target if flag == "-m" else flag, *args]
-try:
-    if flag == "-m":
-        runpy.run_module(target, run_name="__main__", alter_sys=True)
-    else:
-        exec(target, {"__name__": "__main__"})
-finally:
+
+def write_listing():
     with open(listing, "w") as out:
         out.write("\\n".join(sys.modules))
+
+atexit.register(write_listing)  # the CLI's entrypoint never returns
+if flag == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(target, {"__name__": "__main__"})
 """
 
 
