@@ -268,5 +268,6 @@ def entrypoint() -> NoReturn:
             os._exit(code)
     sys.exit(code)
 
+
 if __name__ == "__main__":
     entrypoint()
