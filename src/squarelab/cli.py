@@ -257,10 +257,16 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> NoReturn:
     # ends the process without the interpreter's teardown of every module it
     # loaded: the atexit handlers run, then stdout and stderr are flushed, in
-    # the interpreter's own order; a failed flush, or a profiler or tracer
-    # that reports after the run, is left to the interpreter's exit
+    # the interpreter's own order.  A failed flush is left to the
+    # interpreter's exit, and so is a run that a caller wraps (a profiler, a
+    # debugger, a tracer, a script's runpy.run_module), which may act after
+    # the run returns: only the module or script that calls this, with no
+    # frame but runpy's below it, ends the process here
     code = main()
-    if sys.getprofile() is None and sys.gettrace() is None:
+    frame = sys._getframe(1).f_back
+    while frame is not None and frame.f_globals.get("__name__") == "runpy":
+        frame = frame.f_back
+    if frame is None:
         atexit._run_exitfuncs()  # and unregisters them, so none runs twice
         with suppress(Exception):
             sys.stdout.flush()

@@ -215,16 +215,17 @@ def _checked_blocks(stream: BinaryIO, first: bytes, cols: int, layers: bool) -> 
     line, end, layer = 1, -1, 0 if layers else -1
     while block := take(size):
         end = block[::stride].find(b"\n") if layers and cols else -1
-        if end >= 0:  # the blank line, and what follows it, are taken again
-            rest, pos, block = block, end * stride, block[:end * stride]
+        if end >= 0:  # the blank line, and what follows it, are taken again;
+            # the block is split in two, so no copy of its head outlives it
+            rest, pos, block = block[end * stride:], 0, block[:end * stride]
         if not (cols and _is_lines(block, stride)):
             _raise_line_error(block + rest[pos:], stream, line, cols, layer, line - 1)
         line += len(block) // stride
         if block:
             yield block
+        del block  # so the last block is not held while the next is read
         if end >= 0:
             break
-        del block  # so the last block is not held while the next is read
     # every later layer of a volume: a blank line, then layer 0's rows
     rows = line - 1
     while end >= 0 and (sep := take(1)):

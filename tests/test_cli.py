@@ -1145,26 +1145,45 @@ def test_the_entrypoint_leaves_the_whole_file_it_writes(tmp_path):
     assert written[0] == written[1] == generate_matrix(GenSpec(300, 200, 0.5, 4)).to_text()
 
 
-# a handler that a wrapper (coverage, a test harness) registers before the
-# module runs still runs, and what it writes is flushed with the rest
-RUN_WITH_A_HANDLER = """import atexit, runpy, sys
+# a handler that start-up registers before the module runs (coverage's
+# process start-up, from a .pth file, does) still runs, and what it writes
+# is flushed with the rest; a script that runs the module through runpy
+# gets the interpreter's exit, so its own code after the run runs too
+REGISTER_A_HANDLER = """import atexit, sys
 atexit.register(print, "handler ran")
 atexit.register(sys.stderr.write, "handler ran")
+"""
+RUN_AND_GO_ON = """import runpy, sys
 sys.argv = ["squarelab", *sys.argv[1:]]
-runpy.run_module("squarelab", run_name="__main__", alter_sys=True)
+try:
+    runpy.run_module("squarelab", run_name="__main__", alter_sys=True)
+finally:
+    print("script went on")
 """
 
 
 def test_an_atexit_handler_registered_before_the_run_still_runs(tmp_path):
     (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
-    proc = subprocess.run([sys.executable, "-c", RUN_WITH_A_HANDLER, "solve", "m.txt"],
-                          cwd=tmp_path, capture_output=True, env=fresh_env(), timeout=60)
+    (tmp_path / "startup").mkdir()
+    (tmp_path / "startup" / "sitecustomize.py").write_text(REGISTER_A_HANDLER)
+    env = fresh_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "startup"), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-m", "squarelab", "solve", "m.txt"],
+                          cwd=tmp_path, capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, b"side=2 area=4\nhandler ran\n", b"handler ran")
 
 
-# a profiler reports after the run returns, so under one the entrypoint
-# leaves the exit to the interpreter
+def test_a_script_that_runs_the_module_goes_on_after_it(tmp_path):
+    (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_GO_ON, "solve", "m.txt"],
+                          cwd=tmp_path, capture_output=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, b"side=2 area=4\nscript went on\n", b"")
+
+
+# a profiler reports after the run returns, and a debugger takes over again,
+# so under either the entrypoint leaves the exit to the interpreter
 def test_a_profiled_run_still_reports(tmp_path):
     (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
     proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "squarelab", "solve", "m.txt"],
@@ -1172,3 +1191,13 @@ def test_a_profiled_run_still_reports(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.startswith(b"side=2 area=4\n")
     assert b"function calls" in proc.stdout
+
+
+def test_a_debugged_run_returns_to_the_debugger(tmp_path):
+    (tmp_path / "m.txt").write_bytes(b"110\n111\n011\n")
+    proc = subprocess.run([sys.executable, "-m", "pdb", "-m", "squarelab", "solve", "m.txt"],
+                          cwd=tmp_path, input=b"continue\nquit\n", capture_output=True,
+                          env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"side=2 area=4\n" in proc.stdout
+    assert b"The program exited via sys.exit(). Exit status: 0" in proc.stdout
