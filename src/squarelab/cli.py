@@ -4,19 +4,25 @@ Subcommands: solve, gen, verify, bench, cube, rect.  Machine-readable output
 (tables, CSV, reports) goes to stdout; diagnostics and timings go to stderr.
 Exit codes: 0 success, 1 verification finding, 2 usage or parse error, 3 out
 of memory, 130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
+
+A plain `solve|rect|cube` call is read here without argparse (`_plain_args`);
+every other argv goes to the parser in `commands`, the one definition of the
+command line, which the plain reader is tested against.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
 from contextlib import nullcontext, suppress
-from stat import S_IMODE, S_ISREG
-from typing import BinaryIO, ContextManager, NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, ContextManager, NoReturn
 
-from .core import MatrixParseError, PlotTarget, read_lines
+from .core import MatrixParseError, read_lines
+
+if TYPE_CHECKING:
+    import argparse
 
 # DP flag of `bench --baseline` and `solve --algo` -> squares.BASELINES key,
 # which is also the solver's function name
@@ -35,104 +41,37 @@ SOLVE_ALGOS = {
     "brute": "brute_force_square",
 }
 
+# subcommand -> the default and the choices of its `--algo`, in the order
+# its help and errors list them; `rect` takes none
+ALGOS = {"solve": ("bits", tuple(sorted(SOLVE_ALGOS))), "cube": ("freq", ("freq", "brute"))}
+
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _write_file(path: str, text: str) -> None:
-    # a regular or new file is replaced whole by a part file beside it (or
-    # beside the file a symlink names) that takes its mode, so a failed write
-    # leaves it as it was and no partial file behind; a device, FIFO or
-    # hard-linked file is filled in place, as a rename would replace the node
-    st = os.stat(path) if os.path.exists(path) else None
-    if st and (not S_ISREG(st.st_mode) or st.st_nlink > 1):
-        with open(path, "w", encoding="ascii") as out:
-            out.write(text)
-        return
-    if st:  # a file we may not write fails here, as opening it would
-        os.close(os.open(path, os.O_WRONLY))
-    real = os.path.realpath(path)
-    part = f"{real}.{os.getpid()}.part"
-    try:
-        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the file asked for, as opening it would
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="ascii") as out:
-            if st:
-                os.fchmod(fd, S_IMODE(st.st_mode))
-            out.write(text)
-        os.replace(part, real)
-    except BaseException:
-        os.unlink(part)
-        raise
-
-
-def _list_of(kind: type):
-    # an argparse type for a comma-separated list of `kind` values
-    def parse(text: str) -> tuple:
-        try:
-            return tuple(map(kind, text.split(",")))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated {kind.__name__} list: {text!r}")
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="squarelab",
-        description="Maximal-square solvers, verification campaigns, and benchmarks.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_solve = sub.add_parser("solve", help="find the largest all-ones square")
-    p_solve.add_argument("path", nargs="?", default="-",
-                         help="matrix file, or - for stdin (default)")
-    p_solve.add_argument("--algo", choices=sorted(SOLVE_ALGOS), default="bits")
-
-    p_gen = sub.add_parser("gen", help="generate a seeded random matrix")
-    p_gen.add_argument("--rows", type=int, required=True)
-    p_gen.add_argument("--cols", type=int, required=True)
-    p_gen.add_argument("--density", type=float, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--depth", type=int, default=None,
-                       help="emit a volume of this many layers instead")
-    p_gen.add_argument("--out", default=None, help="write here instead of stdout")
-
-    p_verify = sub.add_parser("verify", help="run differential correctness campaigns")
-    p_verify.add_argument("--exhaustive-max", type=int, default=3,
-                          help="enumerate all matrices up to N x N")
-    p_verify.add_argument("--random-count", type=int, default=1000)
-    p_verify.add_argument("--max-dim", type=int, default=32)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--mismatch-out", default="mismatches.csv",
-                          help="CSV written when disagreements are found")
-
-    # the bench options left unset (None) take BenchConfig's defaults and
-    # PLOT_SIZE in bench.run_bench, so building this parser loads no bench
-    p_bench = sub.add_parser("bench", help="time the frequency solver against a DP baseline")
-    p_bench.add_argument("--sizes", type=_list_of(int))
-    p_bench.add_argument("--densities", type=_list_of(float))
-    p_bench.add_argument("--runs", type=int)
-    p_bench.add_argument("--trim", type=float)
-    p_bench.add_argument("--baseline", choices=sorted(BASELINE_FLAGS))
-    p_bench.add_argument("--format", choices=("csv", "md"), default="md")
-    p_bench.add_argument("--edge-cases", action="store_true",
-                         help="run the constant edge cases instead of the size grid")
-    p_bench.add_argument("--plot", choices=[t.value for t in PlotTarget], default=None,
-                         help="emit a tidy CSV data series instead of a table")
-    p_bench.add_argument("--plot-size", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--warmup", type=int)
-
-    p_cube = sub.add_parser("cube", help="find the largest all-ones cube in a volume")
-    p_cube.add_argument("path", nargs="?", default="-")
-    p_cube.add_argument("--algo", choices=("freq", "brute"), default="freq")
-
-    p_rect = sub.add_parser("rect", help="find the largest all-ones rectangle")
-    p_rect.add_argument("path", nargs="?", default="-")
-
-    return parser
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    # the namespace build_parser would give a plain `solve|rect|cube` call:
+    # at most one path, `-` or a token that does not start with `-`, and at
+    # most one `--algo X` as two tokens, X one of the subcommand's choices.
+    # Any other argv (help, an error, `--algo=X`, an abbreviation, `--`, a
+    # repeated flag, the other subcommands) is None: argparse reads it
+    if not argv or argv[0] not in ("solve", "rect", "cube"):
+        return None
+    subcommand, *rest = argv
+    fields = {"subcommand": subcommand}
+    if subcommand in ALGOS:
+        default, choices = ALGOS[subcommand]
+        fields["algo"] = default
+        if "--algo" in rest:
+            at = rest.index("--algo")
+            value = rest[at + 1:at + 2]
+            if not value or value[0] not in choices:
+                return None
+            fields["algo"] = value[0]
+            del rest[at:at + 2]
+    if len(rest) > 1 or (rest and rest[0] != "-" and rest[0].startswith("-")):
+        return None
+    fields["path"] = rest[0] if rest else "-"
+    return SimpleNamespace(**fields)
 
 
 def _open_source(path: str) -> ContextManager[BinaryIO]:
@@ -163,16 +102,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from .grid import GenSpec, generate_matrix, generate_volume, serialize_matrix
+    from .commands import run_gen
 
-    spec = GenSpec(args.rows, args.cols, args.density, args.seed, depth=args.depth)
-    grid = generate_matrix(spec) if args.depth is None else generate_volume(spec)
-    text = serialize_matrix(grid)  # a volume's text too
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(args.out, text)
-    return 0
+    return run_gen(args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -224,11 +156,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        from .commands import build_parser
+
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         code = _HANDLERS[args.subcommand](args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit

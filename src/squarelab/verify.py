@@ -462,7 +462,7 @@ def run_verify(args: argparse.Namespace) -> int:
     """`squarelab verify`: every campaign, one shard per CPU, then the
     reports and the mismatch CSV exactly as one process would write them.
     Every argument and the enumeration cap are checked before any fork."""
-    from .cli import _write_file
+    from .commands import _write_file
 
     if args.exhaustive_max < 1:
         raise ValueError("--exhaustive-max must be positive")

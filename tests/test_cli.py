@@ -155,6 +155,56 @@ def test_unknown_flag(capsys):
     capsys.readouterr()
 
 
+# argv with {matrix}, {volume} and {missing} naming files in the run's
+# directory, and the bytes each reads on stdin; a plain solve|rect|cube call
+# is read without argparse, every other argv by it
+PLAIN_OR_NOT = {
+    **{f"solve-{algo}": (["solve", "--algo", algo, "{matrix}"], b"")
+       for algo in cli.SOLVE_ALGOS},
+    "solve": (["solve", "{matrix}"], b""),
+    "solve-path-first": (["solve", "{matrix}", "--algo", "dp"], b""),
+    "solve-dash": (["solve", "-"], b"1101\n1111\n1111\n0110\n"),
+    "solve-stdin": (["solve"], b"1101\n1111\n1111\n0110\n"),
+    "rect": (["rect", "{matrix}"], b""),
+    "rect-dash": (["rect", "-"], b"1101\n1111\n1111\n0110\n"),
+    "cube": (["cube", "{volume}"], b""),
+    "cube-brute": (["cube", "--algo", "brute", "{volume}"], b""),
+    "cube-dash": (["cube", "--algo", "freq", "-"], b"11\n11\n\n11\n11\n"),
+    "cube-stdin": (["cube"], b"11\n11\n\n11\n11\n"),
+    "help": (["--help"], b""),
+    **{f"{command}-help": ([command, "--help"], b"")
+       for command in ("solve", "gen", "verify", "bench", "cube", "rect")},
+    "unknown-flag": (["solve", "--bogus", "{matrix}"], b""),
+    "bad-choice": (["cube", "--algo", "bits", "{volume}"], b""),
+    "two-paths": (["rect", "{matrix}", "{matrix}"], b""),
+    "missing-file": (["solve", "{missing}"], b""),
+    "abbreviated": (["solve", "--al", "freq", "{matrix}"], b""),
+    "gen": (["gen", "--rows", "3", "--cols", "4", "--density", "0.5", "--seed", "7"], b""),
+    "verify": (["verify", "--exhaustive-max", "2", "--random-count", "5", "--max-dim", "4"],
+               b""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_OR_NOT))
+def test_argparse_reads_every_argv_as_the_plain_reader_does(tmp_path, capsys, monkeypatch,
+                                                            case):
+    (tmp_path / "matrix").write_bytes(b"1101\n1111\n1111\n0110\n")
+    (tmp_path / "volume").write_bytes(b"11\n11\n\n11\n11\n")
+    template, data = PLAIN_OR_NOT[case]
+    argv = [arg.format(matrix=tmp_path / "matrix", volume=tmp_path / "volume",
+                       missing=tmp_path / "missing") for arg in template]
+    elapsed = functools.partial(re.sub, r"elapsed \d+\.\d+s", "elapsed Ts")
+    runs = []
+    for plain_args in (cli._plain_args, lambda argv: None):
+        monkeypatch.setattr(cli, "_plain_args", plain_args)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, *argv)
+        runs.append((code, out, elapsed(err)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if case in ("unknown-flag", "bad-choice", "two-paths",
+                                        "missing-file") else 0)
+
+
 def test_gen_density_one(capsys):
     code, out, _ = run(capsys, "gen", "--rows", "2", "--cols", "2",
                        "--density", "1")

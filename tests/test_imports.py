@@ -173,16 +173,34 @@ def test_malformed_file_fails_the_same_in_a_fresh_process(tmp_path, command, dat
 
 
 VERIFY_ARGV = ["verify", "--exhaustive-max", "2", "--random-count", "2", "--max-dim", "3"]
+# what a plain solve|rect|cube call leaves unloaded: argparse, and the
+# gettext and locale it imports, are read only by the parser in commands
+PARSER_MODULES = {"argparse", "gettext", "locale", "dataclasses"}
 
 
-@pytest.mark.parametrize("argv, text",
-                         [([c, "in.txt"], t) for c, t, _ in HOT_PATHS] + [(VERIFY_ARGV, "")],
+@pytest.mark.parametrize("argv, text, unloaded",
+                         [([c, "in.txt"], t, PARSER_MODULES) for c, t, _ in HOT_PATHS]
+                         + [(VERIFY_ARGV, "", {"dataclasses"})],
                          ids=["solve", "rect", "cube", "verify"])
-def test_subcommand_loads_no_dataclasses(tmp_path, argv, text):
-    if "dataclasses" in loaded_modules(tmp_path, "-c", "pass"):
-        pytest.skip("this interpreter loads dataclasses at start-up")
+def test_subcommand_loads_no_dataclasses(tmp_path, argv, text, unloaded):
+    unloaded = unloaded - loaded_modules(tmp_path, "-c", "pass")
+    if not unloaded:
+        pytest.skip("this interpreter loads each of these at start-up")
     (tmp_path / "in.txt").write_text(text)
-    assert "dataclasses" not in loaded_modules(tmp_path, "-m", "squarelab", *argv)
+    assert unloaded & loaded_modules(tmp_path, "-m", "squarelab", *argv) == set()
+
+
+# every argv the plain reader declines goes to the parser, which loads commands
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rows", "2", "--cols", "2", "--density", "0.5"],
+    VERIFY_ARGV,
+    ["bench", "--sizes", "4", "--densities", "0.5", "--runs", "1"],
+    ["--help"],
+    ["solve", "--al", "bits", "in.txt"],
+], ids=["gen", "verify", "bench", "help", "solve-abbreviated"])
+def test_every_other_argv_loads_the_parser(tmp_path, argv):
+    (tmp_path / "in.txt").write_text("110\n111\n011\n")
+    assert "commands" in loaded_submodules(tmp_path, "-m", "squarelab", *argv)
 
 
 def test_gen_loads_no_bench(tmp_path):

@@ -1,7 +1,9 @@
 """Property-based tests: text round trips, the bit-parallel kernels against
-the per-cell ones, monotonicity in the ones, and the shape of every rendered
-benchmark table."""
+the per-cell ones, monotonicity in the ones, the shape of every rendered
+benchmark table, and the CLI's plain argv reader against argparse."""
 
+import contextlib
+import functools
 import io
 from unittest import mock
 
@@ -12,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squarelab.bench import TABLES, BenchRecord, render_table
-from squarelab import core
+from squarelab import cli, core
+from squarelab.commands import build_parser
 from squarelab.bitplanes import freq_bits_lines, max_cube_lines
 from squarelab.core import MatrixParseError, RectResult, read_lines
 from squarelab.cubes import CUBE_ORACLE_CELL_CAP, brute_force_cube, max_cube
@@ -259,3 +262,47 @@ def test_render_table_shape(key, markdown, records):
     else:
         widths = {line.count(",") + 1 for line in lines}
     assert widths == {len(columns) + (1 if markdown else 0)}
+
+
+HOT_SUBCOMMANDS = ["solve", "rect", "cube"]
+ARGV_TOKENS = [*HOT_SUBCOMMANDS, "gen", "verify", "bench", "--algo",
+               *sorted({choice for _, choices in cli.ALGOS.values() for choice in choices}),
+               "--algo=freq", "--al", "--", "-", "-h", "-5", "", "a", "a b", "-x"]
+
+
+@functools.cache
+def parser():
+    return build_parser()
+
+
+def argparse_reads(argv):
+    """The namespace build_parser gives argv, or None where it exits (help or
+    a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(deadline=None, max_examples=1500)
+@given(st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=5),
+    st.builds(lambda head, tail: [head, *tail], st.sampled_from(HOT_SUBCOMMANDS),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=4)),
+))
+@example(["solve"])
+@example(["solve", "a", "--algo", "dp2d"])
+@example(["cube", "--algo", "brute", "-"])
+@example(["solve", "-5"])  # argparse reads a negative number as the path
+@example(["solve", "--algo", "freq", "--algo", "bits"])
+@example(["solve", "--algo"])
+@example(["rect", "--algo", "freq"])
+@example(["cube", "--algo", "bits"])
+def test_the_plain_reader_reads_as_argparse_or_declines(argv):
+    plain = cli._plain_args(argv)
+    parsed = argparse_reads(argv)
+    if plain is not None:
+        assert vars(plain) == parsed
+    if parsed is None:
+        assert plain is None
