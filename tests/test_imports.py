@@ -173,8 +173,9 @@ def test_malformed_file_fails_the_same_in_a_fresh_process(tmp_path, command, dat
 
 
 VERIFY_ARGV = ["verify", "--exhaustive-max", "2", "--random-count", "2", "--max-dim", "3"]
-# what a plain solve|rect|cube call leaves unloaded: argparse, and the
-# gettext and locale it imports, are read only by the parser in commands
+# what a plain solve|rect|cube call leaves unloaded: dataclasses, and
+# argparse with the gettext and locale it imports, which only the parser in
+# commands needs
 PARSER_MODULES = {"argparse", "gettext", "locale", "dataclasses"}
 
 
