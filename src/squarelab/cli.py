@@ -5,9 +5,9 @@ Subcommands: solve, gen, verify, bench, cube, rect.  Machine-readable output
 Exit codes: 0 success, 1 verification finding, 2 usage or parse error, 3 out
 of memory, 130 interrupted (Ctrl-C), 141 stdout closed early (128 + SIGPIPE).
 
-A plain `solve|rect|cube` call is read here without argparse (`_plain_args`);
-every other argv goes to the parser in `commands`, the one definition of the
-command line, which the plain reader is tested against.
+A plain `solve|rect|cube|verify` call is read here without argparse
+(`_plain_args`); every other argv goes to the parser in `commands`, the one
+definition of the command line, which the plain reader is tested against.
 """
 
 from __future__ import annotations
@@ -41,37 +41,65 @@ SOLVE_ALGOS = {
     "brute": "brute_force_square",
 }
 
-# subcommand -> the default and the choices of its `--algo`, in the order
-# its help and errors list them; `rect` takes none
-ALGOS = {"solve": ("bits", tuple(sorted(SOLVE_ALGOS))), "cube": ("freq", ("freq", "brute"))}
+# subcommand -> {flag: (default, what its value may be)} for each subcommand
+# the plain reader reads, the one place those defaults are written: a tuple
+# of choices, in the order help and errors list them, `int` for a whole
+# number, or `str` for a path.  All but `verify` also take one path, `-`
+# (stdin) by default
+OPTIONS = {
+    "solve": {"--algo": ("bits", tuple(sorted(SOLVE_ALGOS)))},
+    "rect": {},
+    "cube": {"--algo": ("freq", ("freq", "brute"))},
+    "verify": {"--exhaustive-max": (3, int), "--random-count": (1000, int),
+               "--max-dim": (32, int), "--seed": (0, int),
+               "--mismatch-out": ("mismatches.csv", str)},
+}
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:
-    # the namespace build_parser would give a plain `solve|rect|cube` call:
-    # at most one path, `-` or a token that does not start with `-`, and at
-    # most one `--algo X` as two tokens, X one of the subcommand's choices.
-    # Any other argv (help, an error, `--algo=X`, an abbreviation, `--`, a
-    # repeated flag, the other subcommands) is None: argparse reads it
-    if not argv or argv[0] not in ("solve", "rect", "cube"):
+    # the namespace build_parser would give a plain call of a subcommand in
+    # OPTIONS: each of its flags at most once, as two tokens `--flag VALUE`,
+    # VALUE one of the flag's choices, `-?[0-9]+` in ASCII for a whole
+    # number, or for a path a token that is neither empty nor starts with
+    # `-`; and, for all but verify, at most one path, `-` or a token that
+    # does not start with `-`.  Any other argv (help, an error, `--flag=X`, an
+    # abbreviation, `--`, a repeated flag, `+3`, gen, bench) is None:
+    # argparse reads it
+    options = OPTIONS.get(argv[0]) if argv else None
+    if options is None:
         return None
     subcommand, *rest = argv
-    fields = {"subcommand": subcommand}
-    if subcommand in ALGOS:
-        default, choices = ALGOS[subcommand]
-        fields["algo"] = default
-        if "--algo" in rest:
-            at = rest.index("--algo")
-            value = rest[at + 1:at + 2]
-            if not value or value[0] not in choices:
+    given = {}
+    paths = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in options and token not in given:
+            value = next(tokens, "")
+            takes = options[token][1]
+            if takes is int:
+                digits = value.removeprefix("-")
+                if not (digits.isascii() and digits.isdigit()):
+                    return None
+                try:
+                    value = int(value)
+                except ValueError:  # more digits than int() reads
+                    return None
+            elif value not in takes if isinstance(takes, tuple) else value[:1] in ("", "-"):
                 return None
-            fields["algo"] = value[0]
-            del rest[at:at + 2]
-    if len(rest) > 1 or (rest and rest[0] != "-" and rest[0].startswith("-")):
+            given[token] = value
+        elif token == "-" or token[:1] != "-":
+            paths.append(token)
+        else:
+            return None
+    if len(paths) > 1 or paths and subcommand == "verify":
         return None
-    fields["path"] = rest[0] if rest else "-"
-    return SimpleNamespace(**fields)
+    fields = {flag[2:].replace("-", "_"): given.get(flag, default)
+              for flag, (default, _) in options.items()}
+    if subcommand != "verify":
+        fields["path"] = paths[0] if paths else "-"
+    return SimpleNamespace(subcommand=subcommand, **fields)
 
 
 def _open_source(path: str) -> ContextManager[BinaryIO]:

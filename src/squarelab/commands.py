@@ -1,10 +1,10 @@
-"""The command line's cold half: the argparse parser, and what only `gen`,
-`verify` and `bench` run.
+"""The command line's cold half: the argparse parser, and what only `gen`
+runs, and `verify` when it writes a finding.
 
 `build_parser` is the one definition of every subcommand and option.
 `cli.main` loads this module only for an argv that its plain reader
-(`cli._plain_args`) declines: `gen`, `verify`, `bench`, `--help`, a usage
-error, or a `solve|rect|cube` call in any form but the plain one.
+(`cli._plain_args`) declines: `gen`, `bench`, `--help`, a usage error, or a
+`solve|rect|cube|verify` call in any form but the plain one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 from stat import S_IMODE, S_ISREG
 
-from .cli import ALGOS, BASELINE_FLAGS
+from .cli import BASELINE_FLAGS, OPTIONS
 from .core import PlotTarget
 
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="find the largest all-ones square")
     p_solve.add_argument("path", nargs="?", default="-",
                          help="matrix file, or - for stdin (default)")
-    default, choices = ALGOS["solve"]
+    default, choices = OPTIONS["solve"]["--algo"]
     p_solve.add_argument("--algo", choices=choices, default=default)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random matrix")
@@ -81,13 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="write here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run differential correctness campaigns")
-    p_verify.add_argument("--exhaustive-max", type=int, default=3,
-                          help="enumerate all matrices up to N x N")
-    p_verify.add_argument("--random-count", type=int, default=1000)
-    p_verify.add_argument("--max-dim", type=int, default=32)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--mismatch-out", default="mismatches.csv",
-                          help="CSV written when disagreements are found")
+    helps = {"--exhaustive-max": "enumerate all matrices up to N x N",
+             "--mismatch-out": "CSV written when disagreements are found"}
+    for flag, (default, kind) in OPTIONS["verify"].items():
+        p_verify.add_argument(flag, type=kind, default=default, help=helps.get(flag))
 
     # the bench options left unset (None) take BenchConfig's defaults and
     # PLOT_SIZE in bench.run_bench, so building this parser loads no bench
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cube = sub.add_parser("cube", help="find the largest all-ones cube in a volume")
     p_cube.add_argument("path", nargs="?", default="-")
-    default, choices = ALGOS["cube"]
+    default, choices = OPTIONS["cube"]["--algo"]
     p_cube.add_argument("--algo", choices=choices, default=default)
 
     p_rect = sub.add_parser("rect", help="find the largest all-ones rectangle")

@@ -15,14 +15,13 @@ order they are the report of one unsharded run.
 
 from __future__ import annotations
 
-import argparse
 import marshal
 import os
 import random
 import sys
 import time
 from math import isqrt
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .core import ORACLE_CELL_CAP, SquareResult, _Result
 from .grid import (
@@ -45,6 +44,9 @@ from .squares import (
     freq_square,
     freq_square_traced,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 ENUMERATION_CAP = 2**20
 
@@ -351,7 +353,10 @@ def render_mismatch_csv(*reports: VerifyReport) -> str:
 
 
 def _cpus() -> int:
-    """How many CPUs this process may run on: the number of shards."""
+    """How many CPUs this process may run on: the number of shards.  One,
+    run here with no fork, where the OS reports no affinity or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
     return len(os.sched_getaffinity(0))
 
 
@@ -462,8 +467,6 @@ def run_verify(args: argparse.Namespace) -> int:
     """`squarelab verify`: every campaign, one shard per CPU, then the
     reports and the mismatch CSV exactly as one process would write them.
     Every argument and the enumeration cap are checked before any fork."""
-    from .commands import _write_file
-
     if args.exhaustive_max < 1:
         raise ValueError("--exhaustive-max must be positive")
     if args.random_count < 1:
@@ -486,6 +489,8 @@ def run_verify(args: argparse.Namespace) -> int:
     if all(report.clean for report in reports):
         return 0
     if any(report.mismatches for report in reports):
+        from .commands import _write_file  # only on a finding, after the forks
+
         _write_file(args.mismatch_out, render_mismatch_csv(*reports))
         print(f"mismatches written to {args.mismatch_out}", file=sys.stderr)
     return 1

@@ -182,7 +182,25 @@ PLAIN_OR_NOT = {
     "gen": (["gen", "--rows", "3", "--cols", "4", "--density", "0.5", "--seed", "7"], b""),
     "verify": (["verify", "--exhaustive-max", "2", "--random-count", "5", "--max-dim", "4"],
                b""),
+    "verify-every-flag": (["verify", "--seed", "9", "--mismatch-out", "{out}", "--max-dim", "4",
+                           "--random-count", "5", "--exhaustive-max", "2"], b""),
+    "verify-negative-seed": (["verify", "--exhaustive-max", "1", "--random-count", "3",
+                              "--seed", "-5"], b""),
+    "verify-seed-equals": (["verify", "--exhaustive-max", "1", "--random-count", "3",
+                            "--seed=3"], b""),
+    "verify-abbreviated": (["verify", "--exh", "2", "--random-count", "3", "--max-dim", "4"],
+                           b""),
+    "verify-repeated": (["verify", "--exhaustive-max", "1", "--random-count", "3",
+                         "--seed", "1", "--seed", "2"], b""),
+    "verify-max-dim-0": (["verify", "--max-dim", "0"], b""),
+    "verify-max-dim-101": (["verify", "--max-dim", "101"], b""),
+    "verify-exhaustive-5": (["verify", "--exhaustive-max", "5"], b""),
+    "verify-not-a-number": (["verify", "--random-count", "x"], b""),
 }
+
+# the cases that exit 2: a usage error, a bad file or a bad verify argument
+FAILING = {"unknown-flag", "bad-choice", "two-paths", "missing-file", "verify-max-dim-0",
+           "verify-max-dim-101", "verify-exhaustive-5", "verify-not-a-number"}
 
 
 @pytest.mark.parametrize("case", sorted(PLAIN_OR_NOT))
@@ -192,7 +210,8 @@ def test_argparse_reads_every_argv_as_the_plain_reader_does(tmp_path, capsys, mo
     (tmp_path / "volume").write_bytes(b"11\n11\n\n11\n11\n")
     template, data = PLAIN_OR_NOT[case]
     argv = [arg.format(matrix=tmp_path / "matrix", volume=tmp_path / "volume",
-                       missing=tmp_path / "missing") for arg in template]
+                       missing=tmp_path / "missing", out=tmp_path / "found.csv")
+            for arg in template]
     elapsed = functools.partial(re.sub, r"elapsed \d+\.\d+s", "elapsed Ts")
     runs = []
     for plain_args in (cli._plain_args, lambda argv: None):
@@ -201,8 +220,7 @@ def test_argparse_reads_every_argv_as_the_plain_reader_does(tmp_path, capsys, mo
         code, out, err = run(capsys, *argv)
         runs.append((code, out, elapsed(err)))
     assert runs[0] == runs[1]
-    assert runs[0][0] == (2 if case in ("unknown-flag", "bad-choice", "two-paths",
-                                        "missing-file") else 0)
+    assert runs[0][0] == (2 if case in FAILING else 0)
 
 
 def test_gen_density_one(capsys):
@@ -421,6 +439,19 @@ def test_verify_writes_the_same_on_any_cpu_count(tmp_path, capsys, monkeypatch, 
         results.append((code, out, re.sub(r"\d+\.\d+s", "", err), written))
     assert results[0][0] == int(finding) and (results[0][3] is None) != finding
     assert results[1:] == [results[0]] * 2
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_verify_runs_as_one_shard_where_the_os_cannot_shard(capsys, monkeypatch, missing):
+    # as on macOS, which has no affinity, or Windows, which has neither
+    argv = ("--exhaustive-max", "2", "--random-count", "7", "--max-dim", "4", "--seed", "9")
+    monkeypatch.delattr(os, missing)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked"))
+    code, out, _ = run(capsys, "verify", *argv)
+    monkeypatch.undo()
+    assert (code, out) == verify_on(capsys, monkeypatch, 2, *argv)[:2]
+    assert code == 0
 
 
 def out_of_memory():

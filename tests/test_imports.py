@@ -173,28 +173,32 @@ def test_malformed_file_fails_the_same_in_a_fresh_process(tmp_path, command, dat
 
 
 VERIFY_ARGV = ["verify", "--exhaustive-max", "2", "--random-count", "2", "--max-dim", "3"]
-# what a plain solve|rect|cube call leaves unloaded: dataclasses, and
+# what a plain solve|rect|cube|verify call leaves unloaded: dataclasses, and
 # argparse with the gettext and locale it imports, which only the parser in
 # commands needs
 PARSER_MODULES = {"argparse", "gettext", "locale", "dataclasses"}
 
 
-@pytest.mark.parametrize("argv, text, unloaded",
-                         [([c, "in.txt"], t, PARSER_MODULES) for c, t, _ in HOT_PATHS]
-                         + [(VERIFY_ARGV, "", {"dataclasses"})],
+@pytest.mark.parametrize("argv, text",
+                         [([c, "in.txt"], t) for c, t, _ in HOT_PATHS] + [(VERIFY_ARGV, "")],
                          ids=["solve", "rect", "cube", "verify"])
-def test_subcommand_loads_no_dataclasses(tmp_path, argv, text, unloaded):
-    unloaded = unloaded - loaded_modules(tmp_path, "-c", "pass")
+def test_subcommand_loads_no_dataclasses(tmp_path, argv, text):
+    unloaded = PARSER_MODULES - loaded_modules(tmp_path, "-c", "pass")
     if not unloaded:
         pytest.skip("this interpreter loads each of these at start-up")
     (tmp_path / "in.txt").write_text(text)
     assert unloaded & loaded_modules(tmp_path, "-m", "squarelab", *argv) == set()
 
 
+def test_clean_verify_loads_no_commands(tmp_path):
+    # commands holds the parser, and the file writer a finding needs
+    assert "commands" not in loaded_submodules(tmp_path, "-m", "squarelab", *VERIFY_ARGV)
+
+
 # every argv the plain reader declines goes to the parser, which loads commands
 @pytest.mark.parametrize("argv", [
     ["gen", "--rows", "2", "--cols", "2", "--density", "0.5"],
-    VERIFY_ARGV,
+    ["verify", "--exhaustive-max", "1", "--random-count", "2", "--max-dim", "3", "--seed=1"],
     ["bench", "--sizes", "4", "--densities", "0.5", "--runs", "1"],
     ["--help"],
     ["solve", "--al", "bits", "in.txt"],

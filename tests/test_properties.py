@@ -265,9 +265,13 @@ def test_render_table_shape(key, markdown, records):
 
 
 HOT_SUBCOMMANDS = ["solve", "rect", "cube"]
-ARGV_TOKENS = [*HOT_SUBCOMMANDS, "gen", "verify", "bench", "--algo",
-               *sorted({choice for _, choices in cli.ALGOS.values() for choice in choices}),
-               "--algo=freq", "--al", "--", "-", "-h", "-5", "", "a", "a b", "-x"]
+CHOICES = sorted({choice for options in cli.OPTIONS.values()
+                  for _, takes in options.values() if isinstance(takes, tuple)
+                  for choice in takes})
+ARGV_TOKENS = [*HOT_SUBCOMMANDS, "gen", "verify", "bench", "--algo", *CHOICES,
+               *cli.OPTIONS["verify"], "--algo=freq", "--seed=3", "--al", "--exh", "--",
+               "-", "-h", "-5", "", "a", "a b", "-x",
+               "3", "0", "+3", "3_0", "\u0663", "0x3", " 3", "out.csv"]
 
 
 @functools.cache
@@ -290,6 +294,7 @@ def argparse_reads(argv):
     st.lists(st.sampled_from(ARGV_TOKENS), max_size=5),
     st.builds(lambda head, tail: [head, *tail], st.sampled_from(HOT_SUBCOMMANDS),
               st.lists(st.sampled_from(ARGV_TOKENS), max_size=4)),
+    st.builds(lambda tail: ["verify", *tail], st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
 ))
 @example(["solve"])
 @example(["solve", "a", "--algo", "dp2d"])
@@ -299,6 +304,14 @@ def argparse_reads(argv):
 @example(["solve", "--algo"])
 @example(["rect", "--algo", "freq"])
 @example(["cube", "--algo", "bits"])
+@example(["verify"])
+@example(["verify", "--exhaustive-max", "2", "--random-count", "5", "--max-dim", "4",
+          "--seed", "9", "--mismatch-out", "out.csv"])
+@example(["verify", "--seed", "1", "--seed", "2"])
+@example(["verify", "--max-dim"])
+@example(["verify", "--mismatch-out", "-"])
+@example(["verify", "--seed", "-5"])  # argparse reads a negative number as the value
+@example(["verify", "--seed", "9" * 5000])  # more digits than int() reads
 def test_the_plain_reader_reads_as_argparse_or_declines(argv):
     plain = cli._plain_args(argv)
     parsed = argparse_reads(argv)
