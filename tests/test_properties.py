@@ -310,6 +310,7 @@ def argparse_reads(argv):
 @example(["verify", "--seed", "1", "--seed", "2"])
 @example(["verify", "--max-dim"])
 @example(["verify", "--mismatch-out", "-"])
+@example(["verify", "--mismatch-out", "-x"])  # argparse reads -x as an option, not the value
 @example(["verify", "--seed", "-5"])  # argparse reads a negative number as the value
 @example(["verify", "--seed", "9" * 5000])  # more digits than int() reads
 def test_the_plain_reader_reads_as_argparse_or_declines(argv):
