@@ -23,7 +23,7 @@ grid at once with a few big-int operations.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import CubeResult, SquareResult
@@ -74,10 +74,9 @@ def lines_board(blocks: Iterable[bytes], cols: int) -> tuple[int, int]:
 
     Each block is packed as it comes, so the board and a block or two are
     all that is held.  A group of eight lines that straddles two blocks is
-    carried into the next; a pipe and a file take this one path, since
-    packing top down needs no row count.  The buffer is emptied before the
-    padding rows are shifted off, so no more than it, the copy
-    int.from_bytes makes of it and the int are held at the end.
+    carried into the next.  The buffer is emptied before the padding rows
+    are shifted off, so no more than it, the copy int.from_bytes makes of it
+    and the int are held at the end.
     """
     stride = cols + 1
     size = 8 * stride
@@ -157,10 +156,11 @@ def has_run(mask: int, w: int, unit: int = 1, have: int = 1) -> int:
     return mask
 
 
-def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[int, int]:
+def sweep(boards: Iterable[int], units: tuple[int, ...]) -> tuple[int, int]:
     """The paper's frequency sweep: the largest side of an all-ones square
     (boards are a grid's lines) or cube (boards are a volume's layers), and
-    the number of counter planes it ends with.
+    the number of counter planes it ends with: the bit length of the longest
+    run of ones it counts.  Every board is read.
 
     The counter holds, at every position, the run of ones ending at the
     current board.  A square of side s ending at line i contains one of side
@@ -170,14 +170,11 @@ def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[in
     t = best + 1.  The positions whose run is at least t form a mask, and a
     window of side t exists iff eroding it by t along each of `units` (1
     along a line; 1, then the stride cols + 1, across a layer) leaves a bit
-    set: erosion by a box separates into one per axis (Serra 1982).  Once
-    best reaches `limit`, the largest side the boards can hold, no further
-    board is read.
+    set: erosion by a box separates into one per axis (Serra 1982).
     """
     planes: list[int] = []
     best = 0
-    boards = iter(boards)
-    while best < limit and (board := next(boards, None)) is not None:
+    for board in boards:
         increment(planes, board)
         mask = at_least(planes, best + 1, board)
         for unit in units:
@@ -187,34 +184,31 @@ def sweep(boards: Iterable[int], units: tuple[int, ...], limit: int) -> tuple[in
     return best, len(planes)
 
 
-def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResult:
+def freq_bits_lines(blocks: Iterable[bytes], cols: int) -> SquareResult:
     """squares.freq_bits on a matrix's lines of `cols` cells, given a block
-    of whole lines at a time, sweeping its shorter axis.  A square's side is
-    the same on the transpose, so the answer is freq_bits' either way.
+    of whole lines at a time, sweeping the axis its first block shows to be
+    the shorter.  A square's side is the same on the transpose, so the
+    answer is freq_bits' either way.
 
-    `rows`, the number of lines or an estimate, only picks the axis; when
-    it is -1, unknown (a pipe), the first block's lines stand in for it, so
-    a tall matrix whose first block holds more lines than cols is folded.
-    When it is at most cols, each block's rows are swept as it comes, so the
-    sweep holds a block and O(cols log rows) bits of counter planes; once
-    the side reaches cols no row is packed, but every block is still read.
-    Above cols, each block is folded into one int per column
-    (`fold_columns`), and the columns, one bit per cell, are swept at the
-    end.  A block is let go before the next is read.
+    When the first block holds more lines than cols, which at the default
+    `core.BLOCK` needs fewer than 256 columns, each block is folded into one
+    int per column (`fold_columns`), and the columns, one bit per cell, are
+    swept at the end.  Otherwise each block's rows are swept as it comes, so
+    the sweep holds a block and O(cols log rows) bits of counter planes.  A
+    block is let go before the next is read.
     """
     blocks, stride = iter(blocks), cols + 1
-    if rows < 0:
-        first = next(blocks, b"")
-        rows, blocks = len(first) // stride, chain([first], blocks)
-        del first
-    if rows > cols:
-        columns, rows = [0] * cols, 0
+    first = next(blocks, b"")
+    tall, blocks = len(first) // stride > cols, chain([first], blocks)
+    del first
+    rows = 0
+    if tall:
+        columns = [0] * cols
         for block in blocks:
             rows += fold_columns(columns, block)
             del block
-        best = sweep(columns, (1,), min(rows, cols))[0]
+        best = sweep(columns, (1,))[0]
         return SquareResult(best, best * best, rows * cols)
-    rows = 0
 
     def lines() -> Iterator[int]:
         nonlocal rows
@@ -223,9 +217,7 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int, rows: int) -> SquareResu
             yield from line_rows(block, cols)
             del block
 
-    best = sweep(lines(), (1,), cols)[0]
-    for block in blocks:  # the sweep stopped at its limit; check the rest
-        rows += len(block) // stride
+    best = sweep(lines(), (1,))[0]
     return SquareResult(best, best * best, rows * cols)
 
 
@@ -236,22 +228,16 @@ def max_cube_lines(blocks: Iterable[bytes], cols: int) -> CubeResult:
     Each layer's board goes through `sweep`, which states why one test per
     layer, at t = best + 1, suffices: the positions whose depth run is at
     least t are eroded by t along rows (unit 1), then along columns (unit
-    cols + 1), and a bit left over is a t x t x t cube.  Layer 0 is packed
-    first, as its rows bound the side with cols; once the side reaches that
-    bound no layer is packed, but every block is still read, and
-    volume_visited counts the voxels the read checks, depth * rows * cols.
+    cols + 1), and a bit left over is a t x t x t cube.  volume_visited
+    counts the voxels the read checks, depth * rows * cols.
     """
-    blocks, depth = iter(blocks), 0
-    layers = layer_boards(blocks, cols)
-    head = list(islice(layers, 1))
-    rows = head[0][1] if head else 0
+    lines = 0
 
     def boards() -> Iterator[int]:
-        nonlocal depth
-        for depth, (board, _) in enumerate(chain(head, layers), 1):
+        nonlocal lines
+        for board, rows in layer_boards(blocks, cols):
+            lines += rows
             yield board
 
-    best = sweep(boards(), (1, cols + 1), min(rows, cols))[0]
-    # the sweep stopped at its limit; check the rest, counting its lines
-    lines = depth * rows + sum(len(block) // (cols + 1) for block in blocks)
+    best = sweep(boards(), (1, cols + 1))[0]
     return CubeResult(best, lines * cols)

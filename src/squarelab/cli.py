@@ -111,11 +111,11 @@ def _open_source(path: str) -> ContextManager[BinaryIO]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     with _open_source(args.path) as stream:
-        blocks, cols, rows = read_lines(stream)
+        blocks, cols = read_lines(stream)
         if args.algo == "bits":
             from .bitplanes import freq_bits_lines
 
-            result = freq_bits_lines(blocks, cols, rows)
+            result = freq_bits_lines(blocks, cols)
         else:
             from . import squares
             from .grid import BinaryMatrix
@@ -149,7 +149,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_cube(args: argparse.Namespace) -> int:
     with _open_source(args.path) as stream:
-        blocks, cols, _ = read_lines(stream, layers=True)
+        blocks, cols = read_lines(stream, layers=True)
         if args.algo == "freq":
             from .bitplanes import max_cube_lines
 
@@ -167,7 +167,7 @@ def _cmd_rect(args: argparse.Namespace) -> int:
     from .histogram import maximal_rectangle_lines
 
     with _open_source(args.path) as stream:
-        blocks, cols, _ = read_lines(stream)
+        blocks, cols = read_lines(stream)
         result = maximal_rectangle_lines(blocks, cols)
     print(f"area={result.area} h={result.height} w={result.width}")
     return 0

@@ -119,6 +119,8 @@ def run_gen(args: argparse.Namespace) -> int:
     stdout or to --out."""
     from .grid import GenSpec, generate_matrix, generate_volume, serialize_matrix
 
+    if args.out is not None and (not args.out or os.path.isdir(args.out)):
+        raise ValueError(f"--out must name a file, not {args.out!r}")
     spec = GenSpec(args.rows, args.cols, args.density, args.seed, depth=args.depth)
     grid = generate_matrix(spec) if args.depth is None else generate_volume(spec)
     text = serialize_matrix(grid)  # a volume's text too

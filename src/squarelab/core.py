@@ -24,10 +24,8 @@ other error types, so that `cube --algo brute` loads no `squares`.
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from operator import itemgetter
-from stat import S_ISREG
 from typing import BinaryIO, Iterator
 
 # the largest input, in cells, the brute-force square oracle accepts
@@ -171,11 +169,11 @@ def _block_size(stride: int) -> int:
     return max(BLOCK // stride, 1) * stride
 
 
-def read_lines(stream: BinaryIO, layers: bool = False) -> tuple[Iterator[bytes], int, int]:
+def read_lines(stream: BinaryIO, layers: bool = False) -> tuple[Iterator[bytes], int]:
     """A matrix file, or a volume file (`layers`), read from `stream` a
     block of whole lines at a time: its blocks, each checked in bulk as it
-    is read, the width of its lines, and the number of lines its size
-    gives, -1 when it has none (a pipe).
+    is read, and the width of its lines.  A file, `-` and a pipe are read
+    the same way.
 
     The first line gives the width, and the last line may omit its newline.
     A block is about BLOCK bytes of whole lines.  In a volume each blank
@@ -186,13 +184,7 @@ def read_lines(stream: BinaryIO, layers: bool = False) -> tuple[Iterator[bytes],
     """
     first = stream.readline()
     cols = len(first) - first.endswith(b"\n")
-    try:
-        st = os.fstat(stream.fileno())
-    except OSError:  # a stream with no file descriptor, such as a BytesIO
-        rows = -1
-    else:
-        rows = -(-st.st_size // (cols + 1)) if S_ISREG(st.st_mode) else -1
-    return _checked_blocks(stream, first, cols, layers), cols, rows
+    return _checked_blocks(stream, first, cols, layers), cols
 
 
 def _checked_blocks(stream: BinaryIO, first: bytes, cols: int, layers: bool) -> Iterator[bytes]:

@@ -102,7 +102,7 @@ def max_cube(v: BinaryVolume) -> CubeResult:
     """Largest all-ones cube side in one sweep over whole-layer bitboards:
     `bitplanes.max_cube_lines`, which `cube` runs, on the volume's text
     read as `cube` reads a file."""
-    blocks, cols, _ = read_lines(BytesIO(v.to_text()), layers=True)
+    blocks, cols = read_lines(BytesIO(v.to_text()), layers=True)
     return max_cube_lines(blocks, cols)
 
 

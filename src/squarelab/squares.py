@@ -164,10 +164,10 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     This always sweeps the rows, so the counter holds O(cols log rows)
     words, the paper's O(n) space; sweeping the columns of a tall matrix
     would hold O(rows log cols).  `bitplanes.freq_bits_lines`, which
-    `solve` runs on its input a block of lines at a time, sweeps the
-    shorter axis instead.
+    `solve` runs on its input a block of lines at a time, folds and sweeps
+    the columns instead when its first block holds more lines than cols.
     """
-    best, planes = sweep(line_rows(m.to_text(), m.cols), (1,), min(m.rows, m.cols))
+    best, planes = sweep(line_rows(m.to_text(), m.cols), (1,))
     if audit is not None:
         audit.add((m.cols + 63) // 64 * (1 + planes))
     return SquareResult(best, best * best, m.rows * m.cols)

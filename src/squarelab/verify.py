@@ -478,6 +478,8 @@ def run_verify(args: argparse.Namespace) -> int:
             f"--max-dim {args.max_dim} allows {args.max_dim}x{args.max_dim} cases, "
             f"over the oracle cap of {ORACLE_CELL_CAP} cells "
             f"(--max-dim {isqrt(ORACLE_CELL_CAP)} at most)")
+    if not args.mismatch_out or os.path.isdir(args.mismatch_out):
+        raise ValueError(f"--mismatch-out must name a file, not {args.mismatch_out!r}")
     enumeration_count(args.exhaustive_max, args.exhaustive_max)
     sys.stdout.flush()  # so nothing buffered before the fork is written twice
     sys.stderr.flush()

@@ -66,7 +66,7 @@ def text_board(t):
 def layer_boards_of(text):
     """The board and rows of each layer of a volume's text, as `cube` reads
     it from a file."""
-    blocks, cols, _ = read_lines(io.BytesIO(text), layers=True)
+    blocks, cols = read_lines(io.BytesIO(text), layers=True)
     return list(layer_boards(blocks, cols))
 
 
@@ -243,7 +243,7 @@ def test_packed_layers_match_the_row_text(depth, rows, cols):
     assert layers_of(v) == want
 
 
-def test_sweep_reads_no_board_past_its_limit():
+def test_sweep_reads_every_board():
     taken = []
 
     def boards(board, n):
@@ -251,16 +251,18 @@ def test_sweep_reads_no_board_past_its_limit():
             taken.append(board)
             yield board
 
-    # all-ones 1000x4 rows reach side 4 on the fourth row, with runs of 4
-    assert sweep(boards(0b1111, 1000), (1,), 4) == (4, 3)
-    assert len(taken) == 4
+    # all-ones 1000x4 rows reach side 4 on the fourth row and are read to
+    # the last, with runs of 1000: ten planes
+    assert sweep(boards(0b1111, 1000), (1,)) == (4, 10)
+    assert len(taken) == 1000
     # all-ones 2x2 layers, stride 3, reach side 2 on the second layer
     taken.clear()
-    assert sweep(boards(0b110_110, 1000), (1, 3), 2) == (2, 2)
-    assert len(taken) == 2
+    assert sweep(boards(0b110_110, 1000), (1, 3)) == (2, 10)
+    assert len(taken) == 1000
     taken.clear()
-    assert sweep(boards(0b1, 10), (1,), 0) == (0, 0)
-    assert taken == []
+    assert sweep(boards(0b1, 10), (1,)) == (1, 4)
+    assert len(taken) == 10
+    assert sweep(iter([]), (1,)) == (0, 0)
 
 
 def test_increment_extends_runs_and_resets_under_zeros():

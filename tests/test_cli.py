@@ -289,6 +289,27 @@ def test_gen_into_a_missing_directory_names_the_file(tmp_path, capsys):
     assert err == f"squarelab: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
+@pytest.mark.parametrize("command", sorted(WRITE_ARGV))
+@pytest.mark.parametrize("target", ["empty", "directory"])
+def test_an_out_path_that_names_no_file_fails_up_front(tmp_path, capsys, monkeypatch,
+                                                       command, target):
+    import squarelab.grid
+    import squarelab.verify
+
+    def no_work(*args, **kwargs):
+        pytest.fail("the work started")
+
+    for name in ("exhaustive_sweep", "random_campaign", "edge_case_suite"):
+        monkeypatch.setattr(squarelab.verify, name, no_work)
+    monkeypatch.setattr(squarelab.grid, "generate_matrix", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
+    path = str(tmp_path) if target == "directory" else ""
+    flag = WRITE_ARGV[command][-1]
+    assert run(capsys, *WRITE_ARGV[command], path) == (
+        2, "", f"squarelab: {flag} must name a file, not {path!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("make_link", [os.symlink, os.link], ids=["symlink", "hard-link"])
 def test_gen_over_a_link_writes_the_linked_file(tmp_path, capsys, make_link):
     real, link = tmp_path / "real.txt", tmp_path / "link.txt"
@@ -998,8 +1019,9 @@ SQUARE_OF_ONES = (b"1" * 300 + b"\n") * 300
                                   b"1" * 300 + b"\r\n", b""],
                          ids=["invalid-char", "ragged", "trailing-blank", "crlf", "none"])
 def test_a_bad_last_line_fails_after_the_sweep_stops(tmp_path, tail):
-    # side 300 is the sweep's limit, reached on line 300; from a pipe, in
-    # blocks of five lines, no row is packed after it, yet line 301 is read
+    # side 300, the most 300 columns hold, is reached on line 300; from a
+    # file or a pipe, in whole blocks or five lines at a time, the sweep
+    # still reads line 301
     data = SQUARE_OF_ONES + tail
     path = tmp_path / "m.txt"
     path.write_bytes(data)
@@ -1021,9 +1043,9 @@ VOLUME_OF_ONES = b"\n".join([b"11\n11\n"] * 300)
                          ids=["invalid-char", "ragged", "trailing-blank", "crlf", "long-layer",
                               "none"])
 def test_a_bad_last_line_fails_after_the_cube_sweep_stops(tmp_path, tail):
-    # side 2 is the sweep's limit, reached on layer 2; from a file or a pipe,
-    # in whole layers or a line at a time, no layer is packed after it, yet
-    # the last line is read
+    # side 2, the most two rows hold, is reached on layer 2; from a file or
+    # a pipe, in whole layers or a line at a time, the sweep still reads
+    # the last line
     data = VOLUME_OF_ONES + tail
     path = tmp_path / "v.txt"
     path.write_bytes(data)
@@ -1037,17 +1059,12 @@ def test_a_bad_last_line_fails_after_the_cube_sweep_stops(tmp_path, tail):
             assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
 
 
-def test_the_cube_sweep_stops_packing_at_its_limit_and_reads_on(capsys, monkeypatch):
+def test_the_cube_sweep_reads_on_past_the_largest_cube(capsys, monkeypatch):
     monkeypatch.setattr(core, "BLOCK", 3)
-    packed, pack = [], bitplanes.lines_board
-    monkeypatch.setattr(bitplanes, "lines_board",
-                        lambda blocks, cols: packed.append(cols) or pack(blocks, cols))
     for tail, want in [(b"", (0, "side=2\n", "")),
                        (b"\n11\n1\n", parse_error(902, "line 902 has 1 cells, expected 2"))]:
-        packed.clear()
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(VOLUME_OF_ONES + tail)))
         assert run(capsys, "cube") == want
-        assert len(packed) == 2
 
 
 def test_a_valid_file_with_no_final_newline_still_solves(tmp_path, capsys, monkeypatch):
@@ -1059,30 +1076,19 @@ def test_a_valid_file_with_no_final_newline_still_solves(tmp_path, capsys, monke
                 0, "side=300 area=90000\n", "")
 
 
-def test_the_row_sweep_stops_packing_at_its_limit_and_reads_on(capsys, monkeypatch):
-    monkeypatch.setattr(core, "BLOCK", 5 * 301)
-    packed, pack = [], bitplanes.line_rows
-
-    def line_rows(block, cols):
-        for row in pack(block, cols):
-            packed.append(row)
-            yield row
-
-    monkeypatch.setattr(bitplanes, "line_rows", line_rows)
+def test_the_row_sweep_reads_on_past_the_largest_square(capsys, monkeypatch):
+    monkeypatch.setattr(core, "BLOCK", 5 * 301)  # five lines a block: the rows are swept
     for tail, want in [(b"", (0, "side=300 area=90000\n", "")),
                        (b"12\n", parse_error(601, "line 601 has 2 cells, expected 300"))]:
-        packed.clear()
-        # stdin with no file, so no size: the rows are swept
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(SQUARE_OF_ONES * 2 + tail)))
         assert run(capsys, "solve") == want
-        assert len(packed) == 300
 
 
 def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeypatch):
-    # a file's size gives its rows, so it is folded into columns; a pipe has
-    # no size, so it is folded when its first block holds more lines than
-    # cols (eight lines of seven cells at 64 bytes a block), and its rows are
-    # swept when that block holds no more (seven lines at 56 bytes)
+    # a file, `-` and a pipe take the same axis: the matrix is folded into
+    # columns when its first block holds more lines than cols (eight lines
+    # of seven cells at 64 bytes a block), and its rows are swept when that
+    # block holds no more (seven lines at 56 bytes)
     folded = []
     fold_columns = bitplanes.fold_columns
     monkeypatch.setattr(bitplanes, "fold_columns",
@@ -1096,8 +1102,7 @@ def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeyp
                 folded.clear()
                 assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == \
                     line_parser_says(data)
-                swept = source == "pipe" and block == 56
-                assert b"".join(folded) == (b"" if swept else data), (block, source)
+                assert b"".join(folded) == (b"" if block == 56 else data), (block, source)
 
 
 # the reader's check is the one check of a file's bytes: every command, and

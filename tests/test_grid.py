@@ -353,7 +353,7 @@ def read_blocks(data, layers, block):
     """The blocks `read_lines` reads from data, a block of `block` bytes of
     whole lines at most, and their width."""
     with mock.patch.object(core, "BLOCK", block):
-        blocks, cols, _ = read_lines(io.BytesIO(data), layers)
+        blocks, cols = read_lines(io.BytesIO(data), layers)
         return list(blocks), cols
 
 

@@ -272,6 +272,18 @@ def test_every_sibling_import_is_used(path):
     assert sibling_imports_unused(path) == set()
 
 
+def test_every_source_file_parses_with_the_declared_python_floor():
+    """pyproject.toml declares Python 3.10 as the floor; every file under
+    src/squarelab must parse with 3.10's grammar.  This checks the grammar
+    only: a standard-library name or behaviour newer than 3.10 still passes."""
+    root = Path(__file__).parent.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    paths = sorted((root / "src" / "squarelab").rglob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_star_import_binds_all():
     namespace = {}
     exec("from squarelab import *", namespace)

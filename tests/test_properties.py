@@ -109,7 +109,7 @@ def bulk_read(data, layers, block):
     message."""
     try:
         with mock.patch.object(core, "BLOCK", block):
-            blocks, cols, _ = read_lines(io.BytesIO(data), layers)
+            blocks, cols = read_lines(io.BytesIO(data), layers)
             return (BinaryVolume if layers else BinaryMatrix).from_lines(blocks, cols)
     except MatrixParseError as exc:
         return exc.line, str(exc)
@@ -129,27 +129,26 @@ def test_bulk_read_agrees_with_the_line_parser(data, block):
     assert bulk_read(data, True, block) == line_parse(parse_volume, data)
 
 
-def streamed_read(data, block, tall):
-    """`solve`'s read of data in blocks of `block` bytes of whole lines, down
-    the rows or, `tall`, folded into columns, or its error's line and
-    message."""
+def streamed_read(data, block):
+    """`solve`'s read of data in blocks of `block` bytes of whole lines, or
+    its error's line and message.  One line a block sweeps the rows; a first
+    block of more lines than cols folds the columns."""
     try:
         with mock.patch.object(core, "BLOCK", block):
-            blocks, cols, rows = read_lines(io.BytesIO(data))
-            return freq_bits_lines(blocks, cols, len(data) if tall else rows)
+            return freq_bits_lines(*read_lines(io.BytesIO(data)))
     except MatrixParseError as exc:
         return exc.line, str(exc)
 
 
 @PROPERTY
-@given(st.one_of(files, grid_files), st.sampled_from([1, 4, 9, core.BLOCK]), st.booleans())
-@example(b"\n11\n11\n", 1, False)
-@example("1\u00e9\n11\n".encode(), 1, False)  # line 1's width is counted in characters
-def test_streamed_read_agrees_with_the_line_parser(data, block, tall):
+@given(st.one_of(files, grid_files), st.sampled_from([1, 4, 9, core.BLOCK]))
+@example(b"\n11\n11\n", 1)
+@example("1\u00e9\n11\n".encode(), 1)  # line 1's width is counted in characters
+def test_streamed_read_agrees_with_the_line_parser(data, block):
     # a grid the line parser reads has the side freq_bits finds in it, and
     # anything else fails with the line parser's error
     want = line_parse(parse_matrix, data)
-    assert streamed_read(data, block, tall) == (
+    assert streamed_read(data, block) == (
         freq_bits(want) if isinstance(want, BinaryMatrix) else want)
 
 
@@ -203,10 +202,12 @@ def test_max_cube_equals_the_brute_force_oracle(v):
 @given(dense_matrices(max_dim=40))
 def test_kernels_on_the_file_text_equal_the_matrix_kernels(m):
     data = serialize_matrix(m).encode()
-    # the true row count folds a tall matrix's columns; -1 sweeps its rows
-    for rows in m.rows, -1:
-        assert freq_bits_lines(read_lines(io.BytesIO(data))[0], m.cols, rows) == freq_bits(m)
-    assert maximal_rectangle_lines(read_lines(io.BytesIO(data))[0], m.cols) == maximal_rectangle(m)
+    # one line a block sweeps the rows; the default block, the whole file
+    # here, folds a tall matrix's columns
+    for block in 1, core.BLOCK:
+        with mock.patch.object(core, "BLOCK", block):
+            assert freq_bits_lines(*read_lines(io.BytesIO(data))) == freq_bits(m)
+    assert maximal_rectangle_lines(*read_lines(io.BytesIO(data))) == maximal_rectangle(m)
 
 
 @PROPERTY
@@ -215,7 +216,7 @@ def test_max_cube_on_the_file_text_equals_max_cube(v, block):
     # layers cut into blocks of a few lines give the side of the one-block read
     want = max_cube(v)
     with mock.patch.object(core, "BLOCK", block):
-        blocks, cols, _ = read_lines(io.BytesIO(serialize_volume(v).encode()), layers=True)
+        blocks, cols = read_lines(io.BytesIO(serialize_volume(v).encode()), layers=True)
         assert max_cube_lines(blocks, cols) == want
 
 
