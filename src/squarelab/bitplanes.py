@@ -3,30 +3,33 @@ the square, rectangle and cube kernels; `sweep`, the one frequency sweep
 that freq_bits and max_cube run; and the kernels `solve` and `cube` run,
 `freq_bits_lines` and `max_cube_lines`, each one `sweep` on the blocks of
 whole lines `core.read_lines` reads from a file as it goes, kept here so
-that neither subcommand loads `squares` or `cubes`.
+that neither subcommand loads `squares` or `cubes`.  `freq_bits_lines`
+picks its axis from the width alone, which the first line gives, before
+any block is read.
 
 The packers read a block of whole '0'/'1' lines at a time: its rows and
-columns (`line_rows`, `fold_columns`), and the one board packer,
-`lines_board`, which packs a matrix's blocks into one board as they come
-(`rect`), and each layer of a volume into its own (`layer_boards`,
-`cube`).  A library call hands them its grid's text.  A grid row is one
-int, column 0 in the most significant of `cols` bits, and a grid column
-the same way, row 0 on top.  A layer, and so a whole matrix, is one board:
-row 0 in the top bits and each row's newline its zero guard bit, so the
-stride is cols + 1 and a shift by less than a stride never carries a run
-of ones into the next row; `_pack` appends eight lines at a time, top
-down, and no copy the size of the text is made.  A counter is a list of
-planes, least significant first: bit p of planes[k] is bit k of the count
-at position p.  Each helper works on every position of a row, layer or
-grid at once with a few big-int operations.
+columns (`line_rows`, `fold_columns`, and `lines_columns`, which folds a
+matrix's blocks into whole bytes per column as they come), and the one
+board packer, `lines_board`, which packs a matrix's blocks into one board
+as they come (`rect`), and each layer of a volume into its own
+(`layer_boards`, `cube`).  A library call hands them its grid's text.  A
+grid row is one int, column 0 in the most significant of `cols` bits,
+and a grid column the same way, row 0 on top.  A layer, and so a whole
+matrix, is one board: row 0 in the top bits and each row's newline its
+zero guard bit, so the stride is cols + 1 and a shift by less than a
+stride never carries a run of ones into the next row; `_pack` appends
+eight lines at a time, top down, and no copy the size of the text is
+made.  A counter is a list of planes, least significant first: bit p of
+planes[k] is bit k of the count at position p.  Each helper works on
+every position of a row, layer or grid at once with a few big-int
+operations.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
 
-from .core import CubeResult, SquareResult
+from .core import CubeResult, SquareResult, _block_size
 
 # a board's row newlines, read as its guard bits
 _GUARD = bytes.maketrans(b"\n", b"0")
@@ -54,6 +57,33 @@ def fold_columns(columns: list[int], block: bytes) -> int:
     for j, column in enumerate(columns):
         columns[j] = column << lines | int(block[j::stride], 2)
     return lines
+
+
+def lines_columns(blocks: Iterable[bytes], cols: int) -> tuple[list[int], int]:
+    """A matrix's lines of `cols` cells, given a block of whole lines at a
+    time, as one int per column, row 0 in the most significant bit, and the
+    number of lines.
+
+    Each block is folded into a small int per column (`fold_columns`).
+    Whenever the lines since the last flush fill whole bytes, those ints are
+    appended to each column's bytes and start again from 0, so no int grows
+    with the file and the fold is linear in rows.  Each column's bytes and
+    the lines after them are joined by one int.from_bytes at the end, and
+    the bytes are let go as each column's int is made.
+    """
+    whole = [bytearray() for _ in range(cols)]
+    columns, rows, lines = [0] * cols, 0, 0
+    for block in blocks:
+        lines += fold_columns(columns, block)
+        del block
+        if lines % 8 == 0:
+            for done, column in zip(whole, columns):
+                done += column.to_bytes(lines // 8, "big")
+            columns, rows, lines = [0] * cols, rows + lines, 0
+    for j, done in enumerate(whole):
+        columns[j] = int.from_bytes(done, "big") << lines | columns[j]
+        done.clear()
+    return columns, rows + lines
 
 
 def _pack(buffer: bytearray, lines: bytes, stop: int, stride: int) -> None:
@@ -186,29 +216,24 @@ def sweep(boards: Iterable[int], units: tuple[int, ...]) -> tuple[int, int]:
 
 def freq_bits_lines(blocks: Iterable[bytes], cols: int) -> SquareResult:
     """squares.freq_bits on a matrix's lines of `cols` cells, given a block
-    of whole lines at a time, sweeping the axis its first block shows to be
-    the shorter.  A square's side is the same on the transpose, so the
+    of whole lines at a time, sweeping the axis its width picks before any
+    block is read.  A square's side is the same on the transpose, so the
     answer is freq_bits' either way.
 
-    When the first block holds more lines than cols, which at the default
-    `core.BLOCK` needs fewer than 256 columns, each block is folded into one
-    int per column (`fold_columns`), and the columns, one bit per cell, are
-    swept at the end.  Otherwise each block's rows are swept as it comes, so
-    the sweep holds a block and O(cols log rows) bits of counter planes.  A
-    block is let go before the next is read.
+    When a full block (`core._block_size`, read at call time) holds more
+    lines than cols, which at the default `core.BLOCK` means fewer than 256
+    columns, the blocks are folded into one int per column (`lines_columns`),
+    and the columns, one bit per cell, are swept at the end.  Otherwise each
+    block's rows are swept as it comes, so the sweep holds a block and
+    O(cols log rows) bits of counter planes.  A block is let go before the
+    next is read.
     """
-    blocks, stride = iter(blocks), cols + 1
-    first = next(blocks, b"")
-    tall, blocks = len(first) // stride > cols, chain([first], blocks)
-    del first
-    rows = 0
-    if tall:
-        columns = [0] * cols
-        for block in blocks:
-            rows += fold_columns(columns, block)
-            del block
+    stride = cols + 1
+    if _block_size(stride) // stride > cols:
+        columns, rows = lines_columns(blocks, cols)
         best = sweep(columns, (1,))[0]
         return SquareResult(best, best * best, rows * cols)
+    rows = 0
 
     def lines() -> Iterator[int]:
         nonlocal rows

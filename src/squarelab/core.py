@@ -16,10 +16,11 @@ the source they run.
 
 The value types are tuple subclasses built on `_Record` rather than
 dataclasses, which every CLI run would pay for at import: `dataclasses`
-loads `inspect`.  `PlotTarget` is here so that `cli` builds its parser
-without loading `bench`.  The oracle cap, which `squares` and `verify`
-read, and its error, which `squares` and `cubes` raise, are here beside the
-other error types, so that `cube --algo brute` loads no `squares`.
+loads `inspect`.  `commands` and `bench` both read `PlotTarget` from here,
+so `commands` builds its parser without loading `bench`.  The oracle cap,
+which `squares` and `verify` read, and its error, which `squares` and
+`cubes` raise, are here beside the other error types, so that
+`cube --algo brute` loads no `squares`.
 """
 
 from __future__ import annotations

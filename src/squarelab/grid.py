@@ -35,6 +35,9 @@ _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 # variates per getrandbits call in _random_cells, so it holds 32 KB of random
 # bytes at a time whatever the grid's size
 _DRAW_BLOCK = 4096
+# the widest grid `_text_of` copies a column at a time: each strided copy
+# walks the whole text, so past this a copy per line is faster at any length
+_COLUMN_COPY_COLS = 64
 
 
 def _check_cells(cells: bytes) -> None:
@@ -317,18 +320,19 @@ def _parse_layers(lines: list[str], first: int, layer: int, had: int,
 def _text_of(cells: bytes, depth: int, rows: int, cols: int) -> bytes:
     """The file text of `depth` layers of rows x cols 0/1 cells.
 
-    One slice copy per line of the stacked depth * rows lines, or per
-    column, whichever there are fewer of, so no loop runs once per cell;
-    then the layers are joined by one blank line each.
+    One strided slice copy per column of a grid at most _COLUMN_COPY_COLS
+    wide, or else one slice copy per line of the stacked depth * rows lines,
+    so no loop runs once per cell; then the layers are joined by one blank
+    line each.
     """
     cells, lines, stride = cells.translate(_TO_TEXT), depth * rows, cols + 1
     body = bytearray(b"\n") * (lines * stride)
-    if lines <= cols:
-        for i in range(lines):
-            body[i * stride:i * stride + cols] = cells[i * cols:(i + 1) * cols]
-    else:
+    if cols <= _COLUMN_COPY_COLS:
         for j in range(cols):
             body[j::stride] = cells[j::cols]
+    else:
+        for i in range(lines):
+            body[i * stride:i * stride + cols] = cells[i * cols:(i + 1) * cols]
     view, size = memoryview(body), rows * stride
     return b"\n".join([view[d * size:(d + 1) * size] for d in range(depth)])
 

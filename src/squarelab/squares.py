@@ -165,7 +165,7 @@ def freq_bits(m: BinaryMatrix, audit: AllocationAudit | None = None) -> SquareRe
     words, the paper's O(n) space; sweeping the columns of a tall matrix
     would hold O(rows log cols).  `bitplanes.freq_bits_lines`, which
     `solve` runs on its input a block of lines at a time, folds and sweeps
-    the columns instead when its first block holds more lines than cols.
+    the columns instead when a full block holds more lines than cols.
     """
     best, planes = sweep(line_rows(m.to_text(), m.cols), (1,))
     if audit is not None:

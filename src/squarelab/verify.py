@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from math import isqrt
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .core import ORACLE_CELL_CAP, SquareResult, _Result
@@ -100,10 +101,10 @@ class InvariantFailure(_Result):
         return tuple.__new__(cls, (case_id, row, description))
 
 
-class VerifyReport:
+class VerifyReport(SimpleNamespace):
     """What one campaign found: cases run, findings, and its wall time.
     Campaigns fill it in place, so it is mutable, compares by value and has
-    no hash."""
+    no hash, as a SimpleNamespace does."""
 
     def __init__(
         self,
@@ -112,20 +113,12 @@ class VerifyReport:
         invariant_failures: list[InvariantFailure] | None = None,
         elapsed: float = 0.0,
     ) -> None:
-        self.cases_run = cases_run
-        self.mismatches = [] if mismatches is None else mismatches
-        self.invariant_failures = [] if invariant_failures is None else invariant_failures
-        self.elapsed = elapsed
-
-    def __repr__(self) -> str:
-        return (f"VerifyReport(cases_run={self.cases_run!r}, mismatches={self.mismatches!r}, "
-                f"invariant_failures={self.invariant_failures!r}, elapsed={self.elapsed!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.cases_run, self.mismatches, self.invariant_failures, self.elapsed)
-                == (other.cases_run, other.mismatches, other.invariant_failures, other.elapsed))
+        super().__init__(
+            cases_run=cases_run,
+            mismatches=[] if mismatches is None else mismatches,
+            invariant_failures=[] if invariant_failures is None else invariant_failures,
+            elapsed=elapsed,
+        )
 
     @property
     def clean(self) -> bool:

@@ -13,6 +13,7 @@ from squarelab.bitplanes import (
     layer_boards,
     line_rows,
     lines_board,
+    lines_columns,
     sweep,
 )
 from squarelab.cli import main
@@ -106,6 +107,19 @@ def test_packed_columns_match_each_columns_text(rows, cols):
     text = m.to_rows()
     want = [int("".join(str(text[i][j]) for i in range(rows)), 2) for j in range(cols)]
     assert columns_of(m) == want
+
+
+# a matrix folded a block at a time gives the columns of its text folded as
+# one block, whether a block's lines fill whole bytes (8), fall short of
+# them (1, 7), or overrun them (9, 261), and with lines left after the last
+# whole byte (2089 rows)
+@pytest.mark.parametrize("lines", [1, 7, 8, 9, 261])
+def test_folding_a_block_at_a_time_gives_the_columns(lines):
+    m = generate_matrix(GenSpec(2089, 13, 0.5, lines))
+    t, size = m.to_text(), lines * (m.cols + 1)
+    blocks = [t[i:i + size] for i in range(0, len(t), size)]
+    assert lines_columns(blocks, m.cols) == (columns_of(m), m.rows)
+    assert lines_columns([], 0) == ([], 0)
 
 
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 16, 65])

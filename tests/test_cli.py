@@ -1084,15 +1084,20 @@ def test_the_row_sweep_reads_on_past_the_largest_square(capsys, monkeypatch):
         assert run(capsys, "solve") == want
 
 
-def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeypatch):
-    # a file, `-` and a pipe take the same axis: the matrix is folded into
-    # columns when its first block holds more lines than cols (eight lines
-    # of seven cells at 64 bytes a block), and its rows are swept when that
-    # block holds no more (seven lines at 56 bytes)
-    folded = []
-    fold_columns = bitplanes.fold_columns
+def spy_on_fold(monkeypatch):
+    """The list of the blocks `bitplanes.fold_columns` folds from now on."""
+    folded, fold_columns = [], bitplanes.fold_columns
     monkeypatch.setattr(bitplanes, "fold_columns",
                         lambda columns, block: folded.append(block) or fold_columns(columns, block))
+    return folded
+
+
+def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeypatch):
+    # a file, `-` and a pipe take the same axis: the matrix is folded into
+    # columns when a full block holds more lines than cols (eight lines of
+    # seven cells at 64 bytes a block), and its rows are swept when it holds
+    # no more (seven lines at 56 bytes)
+    folded = spy_on_fold(monkeypatch)
     for block in 64, 56:
         monkeypatch.setattr(core, "BLOCK", block)
         for seed in range(4):
@@ -1103,6 +1108,24 @@ def test_a_tall_matrix_gives_one_side_down_either_axis(tmp_path, capsys, monkeyp
                 assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == \
                     line_parser_says(data)
                 assert b"".join(folded) == (b"" if block == 56 else data), (block, source)
+
+
+# the width picks the axis before any block is read: at the default block a
+# matrix under 256 columns is folded, even one shorter than a block
+# (10x200), and a wider one has its rows swept; the last three are
+# `solve_large`'s shapes, by file and `-` (a pipe holds no more than 64 KiB)
+@pytest.mark.parametrize("rows, cols, sources", [(10, 200, SOURCES),
+                                                 (4000, 250, SOURCES[:2]),
+                                                 (1000, 1000, SOURCES[:2]),
+                                                 (250, 4000, SOURCES[:2])])
+def test_the_width_picks_the_axis(tmp_path, capsys, monkeypatch, rows, cols, sources):
+    folded = spy_on_fold(monkeypatch)
+    data = generate_matrix(GenSpec(rows, cols, 0.9, rows)).to_text()
+    want = line_parser_says(data)
+    for source in sources:
+        folded.clear()
+        assert run_from(capsys, monkeypatch, tmp_path, source, data, "solve") == want
+        assert b"".join(folded) == (data if cols < 256 else b""), source
 
 
 # the reader's check is the one check of a file's bytes: every command, and

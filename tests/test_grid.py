@@ -27,6 +27,7 @@ from squarelab.grid import (
     BinaryVolume,
     EdgeKind,
     GenSpec,
+    _COLUMN_COPY_COLS,
     _DRAW_BLOCK,
     _random_cells,
     generate_edge_case,
@@ -449,16 +450,29 @@ def test_volume_text_checks_its_text(fields):
     assert read_shape(text, True) == read != shape
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4)])
+def text_by_lines(m):
+    """A matrix's file text built a line at a time."""
+    return b"".join(bytes(48 + cell for cell in m.row(i)) + b"\n" for i in range(m.rows))
+
+
+# `_text_of` copies a grid a column at a time up to _COLUMN_COPY_COLS
+# columns and a line at a time past it; either copy gives the text built a
+# line at a time, on grids shorter and longer than they are wide
+@pytest.mark.parametrize("rows, cols", [
+    (0, 0), (3, 0), (1, 7), (7, 1), (4, 5), (5, 4),
+    *((rows, _COLUMN_COPY_COLS + k) for rows in (4, 70) for k in (-1, 0, 1)),
+])
 def test_grid_text_of_a_grid_is_its_file(rows, cols):
     m = (BinaryMatrix(rows, cols, b"") if not rows * cols
          else generate_matrix(GenSpec(rows, cols, 0.5, 3)))
     t = m.to_text()
     assert t == serialize_matrix(m).encode() and BinaryMatrix.from_lines([t], cols) == m
+    assert t == text_by_lines(m)
     if rows * cols:
         v = generate_volume(GenSpec(rows, cols, 0.5, 3, depth=3))
         vt = v.to_text()
         assert vt == serialize_volume(v).encode() and read_grid(vt, True) == v
+        assert vt == b"\n".join(text_by_lines(v.layer(d)) for d in range(3))
     assert EMPTY_VOLUME.to_text() == b""
 
 
