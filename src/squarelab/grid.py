@@ -36,7 +36,7 @@ _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 # bytes at a time whatever the grid's size
 _DRAW_BLOCK = 4096
 # the widest grid `_text_of` copies a column at a time: each strided copy
-# walks the whole text, so past this a copy per line is faster at any length
+# walks the whole text, so on a long grid a copy per line wins past this
 _COLUMN_COPY_COLS = 64
 
 
