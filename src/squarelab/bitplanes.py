@@ -8,21 +8,19 @@ picks its axis from the width alone, which the first line gives, before
 any block is read.
 
 The packers read a block of whole '0'/'1' lines at a time: its rows and
-columns (`line_rows`, `fold_columns`, and `lines_columns`, which folds a
-matrix's blocks into whole bytes per column as they come), and the one
-board packer, `lines_board`, which packs a matrix's blocks into one board
-as they come (`rect`), and each layer of a volume into its own
-(`layer_boards`, `cube`).  A library call hands them its grid's text.  A
-grid row is one int, column 0 in the most significant of `cols` bits,
-and a grid column the same way, row 0 on top.  A layer, and so a whole
-matrix, is one board: row 0 in the top bits and each row's newline its
-zero guard bit, so the stride is cols + 1 and a shift by less than a
-stride never carries a run of ones into the next row; `_pack` appends
-eight lines at a time, top down, and no copy the size of the text is
-made.  A counter is a list of planes, least significant first: bit p of
-planes[k] is bit k of the count at position p.  Each helper works on
-every position of a row, layer or grid at once with a few big-int
-operations.
+columns (`line_rows`, `fold_columns`), and the one board packer,
+`lines_board`, which packs a matrix's blocks into one board as they come
+(`rect`), and each layer of a volume into its own (`layer_boards`,
+`cube`).  A library call hands them its grid's text.  A grid row is one
+int, column 0 in the most significant of `cols` bits, and a grid column
+the same way, row 0 on top.  A layer, and so a whole matrix, is one board:
+row 0 in the top bits and each row's newline its zero guard bit, so the
+stride is cols + 1 and a shift by less than a stride never carries a run
+of ones into the next row; `_pack` appends eight lines at a time, top
+down, and no copy the size of the text is made.  A counter is a list of
+planes, least significant first: bit p of planes[k] is bit k of the count
+at position p.  Each helper works on every position of a row, layer or
+grid at once with a few big-int operations.
 """
 
 from __future__ import annotations
@@ -57,33 +55,6 @@ def fold_columns(columns: list[int], block: bytes) -> int:
     for j, column in enumerate(columns):
         columns[j] = column << lines | int(block[j::stride], 2)
     return lines
-
-
-def lines_columns(blocks: Iterable[bytes], cols: int) -> tuple[list[int], int]:
-    """A matrix's lines of `cols` cells, given a block of whole lines at a
-    time, as one int per column, row 0 in the most significant bit, and the
-    number of lines.
-
-    Each block is folded into a small int per column (`fold_columns`).
-    Whenever the lines since the last flush fill whole bytes, those ints are
-    appended to each column's bytes and start again from 0, so no int grows
-    with the file and the fold is linear in rows.  Each column's bytes and
-    the lines after them are joined by one int.from_bytes at the end, and
-    the bytes are let go as each column's int is made.
-    """
-    whole = [bytearray() for _ in range(cols)]
-    columns, rows, lines = [0] * cols, 0, 0
-    for block in blocks:
-        lines += fold_columns(columns, block)
-        del block
-        if lines % 8 == 0:
-            for done, column in zip(whole, columns):
-                done += column.to_bytes(lines // 8, "big")
-            columns, rows, lines = [0] * cols, rows + lines, 0
-    for j, done in enumerate(whole):
-        columns[j] = int.from_bytes(done, "big") << lines | columns[j]
-        done.clear()
-    return columns, rows + lines
 
 
 def _pack(buffer: bytearray, lines: bytes, stop: int, stride: int) -> None:
@@ -222,18 +193,20 @@ def freq_bits_lines(blocks: Iterable[bytes], cols: int) -> SquareResult:
 
     When a full block (`core._block_size`, read at call time) holds more
     lines than cols, which at the default `core.BLOCK` means fewer than 256
-    columns, the blocks are folded into one int per column (`lines_columns`),
+    columns, each block is folded into one int per column (`fold_columns`),
     and the columns, one bit per cell, are swept at the end.  Otherwise each
     block's rows are swept as it comes, so the sweep holds a block and
     O(cols log rows) bits of counter planes.  A block is let go before the
     next is read.
     """
-    stride = cols + 1
+    stride, rows = cols + 1, 0
     if _block_size(stride) // stride > cols:
-        columns, rows = lines_columns(blocks, cols)
+        columns = [0] * cols
+        for block in blocks:
+            rows += fold_columns(columns, block)
+            del block
         best = sweep(columns, (1,))[0]
         return SquareResult(best, best * best, rows * cols)
-    rows = 0
 
     def lines() -> Iterator[int]:
         nonlocal rows

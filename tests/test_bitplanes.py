@@ -13,7 +13,6 @@ from squarelab.bitplanes import (
     layer_boards,
     line_rows,
     lines_board,
-    lines_columns,
     sweep,
 )
 from squarelab.cli import main
@@ -111,15 +110,15 @@ def test_packed_columns_match_each_columns_text(rows, cols):
 
 # a matrix folded a block at a time gives the columns of its text folded as
 # one block, whether a block's lines fill whole bytes (8), fall short of
-# them (1, 7), or overrun them (9, 261), and with lines left after the last
-# whole byte (2089 rows)
+# them (1, 7), or overrun them (9, 261), and with a short last block (2089
+# rows)
 @pytest.mark.parametrize("lines", [1, 7, 8, 9, 261])
 def test_folding_a_block_at_a_time_gives_the_columns(lines):
     m = generate_matrix(GenSpec(2089, 13, 0.5, lines))
     t, size = m.to_text(), lines * (m.cols + 1)
-    blocks = [t[i:i + size] for i in range(0, len(t), size)]
-    assert lines_columns(blocks, m.cols) == (columns_of(m), m.rows)
-    assert lines_columns([], 0) == ([], 0)
+    columns = [0] * m.cols
+    rows = sum(fold_columns(columns, t[i:i + size]) for i in range(0, len(t), size))
+    assert (columns, rows) == (columns_of(m), m.rows)
 
 
 @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 16, 65])
@@ -184,8 +183,9 @@ def test_layer_boards_make_no_copy_of_a_layer():
 # is wide, that block and the counter planes; on a taller one, the packed
 # columns, one bit per cell, and the block (the block checks a piece of
 # itself at a time).  What the file adds to a run's peak is measured above
-# that of the same run on an empty file, which holds the parser.
-@pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250)])
+# that of the same run on an empty file, which holds the parser; 36000x250
+# folds 138 blocks into columns of 4.5 KB each.
+@pytest.mark.parametrize("rows, cols", [(1000, 1000), (4000, 250), (36000, 250)])
 def test_solve_holds_a_block_of_the_file_not_the_file(tmp_path, capsys, rows, cols):
     m = generate_matrix(GenSpec(rows, cols, 0.9, rows))
     t = m.to_text()
